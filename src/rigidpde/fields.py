@@ -22,6 +22,7 @@ broadcast shape.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -395,20 +396,8 @@ class GridTableField(CoefficientField):
     def from_csv(cls, path) -> "GridTableField":
         """Load a field from CSV with header x,y,alpha,beta; the rows must
         fill a complete rectangular lattice (any order)."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, None)
-            if header is None or [c.strip() for c in header] != ["x", "y", "alpha", "beta"]:
-                raise ValueError(
-                    f"{path}: expected header 'x,y,alpha,beta', got {header}"
-                )
-            rows = [[float(c) for c in row] for row in reader if row]
-        if not rows:
-            raise ValueError(f"{path}: no data rows")
-        data = np.asarray(rows, dtype=float)
-        xs, ys, grids = lattice_from_columns(data[:, 0], data[:, 1],
-                                             data[:, 2], data[:, 3])
-        return cls(xs, ys, grids[0], grids[1])
+        xs, ys, (alpha, beta) = read_lattice_csv(path, ["x", "y", "alpha", "beta"])
+        return cls(xs, ys, alpha, beta)
 
     def values(self, x, y):
         self.check_domain(x, y)
@@ -452,6 +441,63 @@ def lattice_from_columns(x, y, *columns):
     grids = [np.asarray(c, dtype=float)[order].reshape(ys.size, xs.size)
              for c in columns]
     return xs, ys, grids
+
+
+# ---------------------------------------------------------------------------
+# The lattice CSV format shared by coefficient tables and solution fields:
+# a header line, then one row x,y,value... per node in row-major order
+# (x varying fastest), every number in its shortest round-trip repr form,
+# lines ended by \r\n as csv.writer does.  Finite data survives a
+# write/read cycle bit-exactly.
+
+def write_lattice_csv(path, header, xs, ys, grids):
+    """Write value grids of shape (ny, nx) over the axes xs, ys."""
+    data = np.stack([np.asarray(g, dtype=float) for g in grids], axis=-1)
+    # One template per grid row: the x cells are formatted once, the y cell
+    # once per row ("%s"), and only the values once per node ("%r").
+    row = "".join(f"{x!r},%s" + ",%r" * len(grids) + "\r\n"
+                  for x in np.asarray(xs, dtype=float).tolist())
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n")
+        for y, values in zip(np.asarray(ys, dtype=float).tolist(),
+                             data.reshape(data.shape[0], -1).tolist()):
+            fh.write(row.replace("%s", repr(y)) % tuple(values))
+
+
+def read_lattice_csv(path, header):
+    """Read a file written by write_lattice_csv (rows in any order, LF or
+    CRLF line ends, fields optionally double-quoted).
+
+    Returns (xs, ys, [value grids of shape (ny, nx)]).  Raises ValueError
+    naming the file on a wrong header, a missing or ragged body, a
+    non-finite entry (with its x, y) or an incomplete lattice.
+    """
+    with open(path) as fh:
+        try:
+            return _parse_lattice_csv(fh, header)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _parse_lattice_csv(fh, header):
+    line = fh.readline()
+    got = next(csv.reader([line]), None) if line else None
+    if got is None or [c.strip() for c in got] != header:
+        raise ValueError(f"expected header {','.join(header)}, got {got}")
+    with warnings.catch_warnings():
+        # a header-only file is reported below, not warned about
+        warnings.simplefilter("ignore", UserWarning)
+        data = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"',
+                          comments=None)
+    if data.shape[0] == 0:
+        raise ValueError("no data rows")
+    if data.shape[1] != len(header):
+        raise ValueError(f"expected {len(header)} columns, got {data.shape[1]}")
+    finite = np.isfinite(data).all(axis=1)
+    if not finite.all():
+        x, y = data[np.argmin(finite), :2].tolist()
+        raise ValueError(f"non-finite entry at (x, y) = ({x!r}, {y!r})")
+    return lattice_from_columns(*data.T)
 
 
 def numeric_partials(field: CoefficientField, x, y=None, h=None) -> CoefficientSample:
@@ -505,11 +551,5 @@ def delta_coefficients(fam: DeltaFamily, p: Point) -> CoefficientSample:
 def write_field_csv(field: CoefficientField, region: Region, grid: GridSpec, path):
     """Sample a field on a grid and write the x,y,alpha,beta table."""
     xs, ys = grid_axes(region, grid)
-    X, Y = np.meshgrid(xs, ys)
-    alpha, beta = field.values(X, Y)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["x", "y", "alpha", "beta"])
-        for row in zip(X.ravel(), Y.ravel(), np.asarray(alpha).ravel(),
-                       np.asarray(beta).ravel()):
-            writer.writerow([repr(float(v)) for v in row])
+    alpha, beta = field.values(*np.meshgrid(xs, ys))
+    write_lattice_csv(path, ["x", "y", "alpha", "beta"], xs, ys, [alpha, beta])

@@ -12,7 +12,6 @@ directions and their residual checks live here.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass, field as dc_field
 
@@ -26,7 +25,8 @@ from .fields import (
     Point,
     Region,
     grid_axes,
-    lattice_from_columns,
+    read_lattice_csv,
+    write_lattice_csv,
 )
 
 
@@ -490,53 +490,28 @@ def transport_residual_from_field(field: CoefficientField, w: ComplexField,
 
 
 # ---------------------------------------------------------------------------
-# Serialization: CSV data files plus a JSON header.  Values are written with
-# repr (shortest round-trip form), so finite data survives a write/read
-# cycle bit-exactly.
+# Serialization: lattice CSV data files (format in fields.write_lattice_csv)
+# plus a JSON header.
 
 def write_complex_csv(field: ComplexField, path):
-    _write_rows(path, ["x", "y", "re", "im"], field.xs, field.ys,
-                [field.values.real, field.values.imag])
+    write_lattice_csv(path, ["x", "y", "re", "im"], field.xs, field.ys,
+                      [field.values.real, field.values.imag])
 
 
 def write_real_pair_csv(field: RealPairField, path):
-    _write_rows(path, ["x", "y", "u", "v"], field.xs, field.ys,
-                [field.u, field.v])
-
-
-def _write_rows(path, header, xs, ys, grids):
-    X, Y = np.meshgrid(xs, ys)
-    cols = [X.ravel(), Y.ravel()] + [g.ravel() for g in grids]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for row in zip(*cols):
-            writer.writerow([repr(float(v)) for v in row])
-
-
-def _read_rows(path, header):
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        got = next(reader, None)
-        if got is None or [c.strip() for c in got] != header:
-            raise ValueError(f"{path}: expected header {','.join(header)}, got {got}")
-        rows = [[float(c) for c in row] for row in reader if row]
-    if not rows:
-        raise ValueError(f"{path}: no data rows")
-    return np.asarray(rows, dtype=float)
+    write_lattice_csv(path, ["x", "y", "u", "v"], field.xs, field.ys,
+                      [field.u, field.v])
 
 
 def read_complex_csv(path) -> ComplexField:
-    data = _read_rows(path, ["x", "y", "re", "im"])
-    xs, ys, (re, im) = lattice_from_columns(data[:, 0], data[:, 1],
-                                            data[:, 2], data[:, 3])
-    return ComplexField(xs, ys, re + 1j * im)
+    xs, ys, (re, im) = read_lattice_csv(path, ["x", "y", "re", "im"])
+    values = re.astype(complex)  # not re + 1j*im, which turns -0.0 into 0.0
+    values.imag = im
+    return ComplexField(xs, ys, values)
 
 
 def read_real_pair_csv(path) -> RealPairField:
-    data = _read_rows(path, ["x", "y", "u", "v"])
-    xs, ys, (u, v) = lattice_from_columns(data[:, 0], data[:, 1],
-                                          data[:, 2], data[:, 3])
+    xs, ys, (u, v) = read_lattice_csv(path, ["x", "y", "u", "v"])
     return RealPairField(xs, ys, u, v)
 
 

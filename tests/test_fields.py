@@ -221,6 +221,21 @@ def test_grid_table_rejects_bad_input(tmp_path):
     p2.write_text("x,y,alpha,beta\n0,0,1,0\n1,0,1,0\n0,1,1,0\n")
     with pytest.raises(ValueError):
         GridTableField.from_csv(p2)
+    for name, body, needle in [
+        ("empty.csv", "", "no data rows"),
+        ("short_row.csv", "0,0,1,0\n1,0,1\n", "columns"),
+        ("inf.csv", "0,0,1,0\n1,0,1,0\n0,1,1,-inf\n1,1,1,0\n", "(0.0, 1.0)"),
+    ]:
+        path = tmp_path / name
+        path.write_text("x,y,alpha,beta\n" + body)
+        with pytest.raises(ValueError) as exc:
+            GridTableField.from_csv(path)
+        assert str(path) in str(exc.value) and needle in str(exc.value)
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text('"x","y","alpha","beta"\r\n"0",0,2,0\r\n1,0,2,0\r\n'
+                      '0,1,2,0\r\n1,1,2,"0.5"\r\n')
+    field = GridTableField.from_csv(quoted)
+    assert field.alpha_tab[0, 0] == 2.0 and field.beta_tab[1, 1] == 0.5
 
 
 def test_field_evaluation_outside_region_fails():

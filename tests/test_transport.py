@@ -395,6 +395,28 @@ def test_field_header_json(tmp_path):
     assert field_header(to_real_pair(fam, w))["kind"] == "uv"
 
 
+def test_csv_golden_bytes(tmp_path):
+    # pins the on-disk contract: header, row-major with x fastest, shortest
+    # repr decimals (signed zero, subnormal, huge), CRLF line ends
+    xs = np.array([-0.5, 0.0, 0.1])
+    ys = np.array([-1.0, 2.5])
+    u = np.array([[-0.0, 5e-324, 1e300], [0.1, 1.0, -2.0]])
+    v = np.array([[1e300, 0.1, -0.0], [5e-324, 3.0, 0.5]])
+    path = tmp_path / "golden_uv.csv"
+    write_real_pair_csv(RealPairField(xs, ys, u, v), path)
+    assert path.read_bytes() == (
+        b"x,y,u,v\r\n"
+        b"-0.5,-1.0,-0.0,1e+300\r\n"
+        b"0.0,-1.0,5e-324,0.1\r\n"
+        b"0.1,-1.0,1e+300,-0.0\r\n"
+        b"-0.5,2.5,0.1,5e-324\r\n"
+        b"0.0,2.5,1.0,3.0\r\n"
+        b"0.1,2.5,-2.0,0.5\r\n"
+    )
+    back = read_real_pair_csv(path)
+    assert back.u.tobytes() == u.tobytes() and back.v.tobytes() == v.tobytes()
+
+
 def test_read_rejects_malformed_csv(tmp_path):
     p = tmp_path / "bad.csv"
     p.write_text("x,y,re\n0,0,1\n")
@@ -404,3 +426,18 @@ def test_read_rejects_malformed_csv(tmp_path):
     p2.write_text("x,y,u,v\n0,0,1,0\n1,0,1,0\n0.5,1,1,0\n1,1,1,0\n")
     with pytest.raises(ValueError):
         read_real_pair_csv(p2)
+    for name, body, needle in [
+        ("empty.csv", "", "no data rows"),
+        ("short_row.csv", "0,0,1,0\n1,0,1\n", "columns"),
+        ("short_rows.csv", "0,0,1\n1,0,1\n", "columns"),
+        ("nan.csv", "0,0,1,0\n1,0,nan,0\n0,1,1,0\n1,1,1,0\n", "(1.0, 0.0)"),
+    ]:
+        path = tmp_path / name
+        path.write_text("x,y,u,v\r\n" + body)
+        with pytest.raises(ValueError) as exc:
+            read_real_pair_csv(path)
+        assert str(path) in str(exc.value) and needle in str(exc.value)
+    quoted = tmp_path / "quoted.csv"
+    quoted.write_text('x,y,u,v\n0,0,"0.5",0\n1,0,1,0\n0,1,1,0\n1,1,1,"-2"\n')
+    uv = read_real_pair_csv(quoted)
+    assert uv.u[0, 0] == 0.5 and uv.v[1, 1] == -2.0
