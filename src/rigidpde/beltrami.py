@@ -164,6 +164,12 @@ class BeltramiProblem:
             raise ValueError(
                 f"mu shape {self.mu.shape} does not match grid {self.grid.n}"
             )
+        finite = np.isfinite(self.mu)
+        if not finite.all():
+            i, j = np.unravel_index(np.argmin(finite), finite.shape)
+            raise ValueError(
+                f"mu is not finite at node (i, j) = ({i}, {j}): {self.mu[i, j]}"
+            )
         if not (self.tol > 0 and self.divergence_factor > 1 and self.max_iter >= 0):
             raise ValueError("need tol > 0, divergence_factor > 1, max_iter >= 0")
 

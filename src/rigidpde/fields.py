@@ -223,10 +223,27 @@ class CoefficientField:
         return None
 
     def check_domain(self, x, y, pad: float = 0.0):
-        if np.any(np.asarray(x) < X_MIN - pad):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.size == 0 or y.size == 0:
+            return
+        # NaN fails the comparison and propagates through max and min; an
+        # infinity fails the comparison or lands in one of the bounds.
+        x_hi, y_lo, y_hi = x.max(), y.min(), y.max()
+        if not (np.all(x >= X_MIN - pad)
+                and np.isfinite([x_hi, y_lo, y_hi]).all()):
+            xb, yb = np.broadcast_arrays(x, y)
+            finite = np.isfinite(xb) & np.isfinite(yb)
+            if not finite.all():
+                k = int(np.argmin(finite))
+                raise DomainError(
+                    f"non-finite coordinate at (x, y) = "
+                    f"({float(xb.flat[k])!r}, {float(yb.flat[k])!r})"
+                )
             bad = float(np.min(x))
             raise DomainError(f"x = {bad:.9g} outside the half-plane x > -1")
-        if self.region is not None and not self.region.contains(x, y, pad=pad):
+        if self.region is not None and not self.region.contains(
+                np.array([x.min(), x_hi]), np.array([y_lo, y_hi]), pad=pad):
             raise DomainError(
                 f"point outside the field's region {self.region.as_tuple()}"
             )

@@ -57,6 +57,11 @@ class InitialData:
     def derivative(self, z, delta: float):
         raise NotImplementedError
 
+    def value_and_derivative(self, z, delta: float):
+        """(f0(z), f0'(z)); profiles whose derivative reuses the value
+        override this to evaluate once."""
+        return self.evaluate(z, delta), self.derivative(z, delta)
+
     def descriptor(self) -> str:
         raise NotImplementedError
 
@@ -101,6 +106,10 @@ class ExpAffine(InitialData):
 
     def derivative(self, z, delta):
         return self.c * self.evaluate(z, delta)
+
+    def value_and_derivative(self, z, delta):
+        w = self.evaluate(z, delta)
+        return w, self.c * w
 
     def descriptor(self):
         return f"exp:{format_complex(self.c)},{format_complex(self.d)}"
@@ -270,14 +279,20 @@ def solve_characteristic(
     the field metadata.  The arithmetic per node does not depend on delta.
     """
     xs, ys = grid_axes(region, grid)
-    X, Y = np.meshgrid(xs, ys)
-    inv = 1.0 / (1.0 + X)
-    zeta = (Y - 1j * fam.delta * X) * inv
-    w = np.asarray(f0.evaluate(zeta, fam.delta), dtype=complex)
-    df = np.asarray(f0.derivative(zeta, fam.delta), dtype=complex)
-    lam = (Y + 1j * fam.delta) * inv
-    # zeta_x = -lambda/(1+x), zeta_y = 1/(1+x)
-    wx = df * (-(lam * inv))
+    x, y = xs[None, :], ys[:, None]
+    inv = 1.0 / (1.0 + x)
+    zeta = y - 1j * fam.delta * x
+    zeta *= inv
+    w, df = f0.value_and_derivative(zeta, fam.delta)
+    w = np.asarray(w, dtype=complex)
+    df = np.asarray(df, dtype=complex)
+    del zeta  # f0 may return it (or a view of it), so it is never overwritten
+    # zeta_x = -lambda/(1+x), zeta_y = 1/(1+x): wx = df*(-(lambda*inv)),
+    # wy = df*inv
+    wx = (y + 1j * fam.delta) * inv  # lambda
+    wx *= inv
+    np.negative(wx, out=wx)
+    np.multiply(df, wx, out=wx)
     wy = df * inv
     meta = {
         "delta": fam.delta,
@@ -288,23 +303,41 @@ def solve_characteristic(
     return ComplexField(xs, ys, w, wx=wx, wy=wy, meta=meta)
 
 
-def _lambda_parts(fam: DeltaFamily, xs, ys):
-    X, Y = np.meshgrid(xs, ys)
-    inv = 1.0 / (1.0 + X)
-    return X, Y, inv, Y * inv, fam.delta * inv  # X, Y, inv, a, b
-
-
 def from_real_pair(fam: DeltaFamily, uv: RealPairField) -> ComplexField:
-    """Spectral identification w = u + v*lambda = (u + a*v) + i*(b*v)."""
-    X, Y, inv, a, b = _lambda_parts(fam, uv.xs, uv.ys)
-    w = (uv.u + a * uv.v) + 1j * (b * uv.v)
+    """Spectral identification w = u + v*lambda = (u + a*v) + i*(b*v),
+    with lambda = a + i*b, a = y/(1+x), b = delta/(1+x)."""
+    x, y = uv.xs[None, :], uv.ys[:, None]
+    inv = 1.0 / (1.0 + x)
+    b = fam.delta * inv
+    a = y * inv
+    v = uv.v
+    # Real and imaginary parts are written straight into the complex grids.
+    w = np.empty(uv.u.shape, dtype=complex)
+    t = a * v
+    np.add(uv.u, t, out=w.real)
+    np.multiply(b, v, out=w.imag)
     wx = wy = None
     if uv.has_partials:
         ux, uy, vx, vy = uv.partials
-        a_x = -(a * inv)
-        b_x = -(b * inv)
-        wx = (ux + a_x * uv.v + a * vx) + 1j * (b_x * uv.v + b * vx)
-        wy = (uy + inv * uv.v + a * vy) + 1j * (b * vy)  # a_y = inv, b_y = 0
+        # wx = (ux + a_x*v + a*vx) + i*(b_x*v + b*vx), a_x = -(a*inv),
+        # b_x = -(b*inv); wy = (uy + inv*v + a*vy) + i*(b*vy), as a_y = inv
+        # and b_y = 0
+        t2 = a * vx
+        wx = np.empty_like(w)
+        np.multiply(a, inv, out=t)
+        np.negative(t, out=t)
+        t *= v
+        t += ux
+        np.add(t, t2, out=wx.real)
+        np.multiply(-(b * inv), v, out=t)
+        np.multiply(b, vx, out=t2)
+        np.add(t, t2, out=wx.imag)
+        wy = np.empty_like(w)
+        np.multiply(inv, v, out=t)
+        t += uy
+        np.multiply(a, vy, out=t2)
+        np.add(t, t2, out=wy.real)
+        np.multiply(b, vy, out=wy.imag)
     meta = dict(uv.meta)
     meta["delta"] = fam.delta
     return ComplexField(uv.xs, uv.ys, w, wx=wx, wy=wy, meta=meta)
@@ -316,22 +349,36 @@ def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
     Requires delta > 0 (enforced at DeltaFamily construction) so that
     b = delta/(1+x) never vanishes.
     """
-    X, Y, inv, a, b = _lambda_parts(fam, w.xs, w.ys)
+    x, y = w.xs[None, :], w.ys[:, None]
+    inv = 1.0 / (1.0 + x)
+    b = fam.delta * inv
     p = w.values.real
     q = w.values.imag
-    ratio = a / b  # equals y/delta
-    u = p - ratio * q
+    ratio = y * inv  # a
+    ratio /= b  # equals y/delta
+    u = ratio * q
+    np.subtract(p, u, out=u)
     v = q / b
     partials = None
     if w.has_partials:
         px, qx = w.wx.real, w.wx.imag
         py, qy = w.wy.real, w.wy.imag
         inv_delta = 1.0 / fam.delta
-        # d(a/b)/dx = 0 and d(a/b)/dy = 1/delta; 1/b = (1+x)/delta.
-        ux = px - ratio * qx
-        uy = py - q * inv_delta - ratio * qy
-        vx = (q + (1.0 + X) * qx) * inv_delta
-        vy = (1.0 + X) * qy * inv_delta
+        one_x = 1.0 + x
+        # d(a/b)/dx = 0 and d(a/b)/dy = 1/delta; 1/b = (1+x)/delta:
+        # ux = px - ratio*qx, uy = (py - q*inv_delta) - ratio*qy,
+        # vx = (q + (1+x)*qx)*inv_delta, vy = ((1+x)*qy)*inv_delta
+        ux = ratio * qx
+        np.subtract(px, ux, out=ux)
+        uy = q * inv_delta
+        np.subtract(py, uy, out=uy)
+        ratio *= qy
+        uy -= ratio
+        vx = one_x * qx
+        vx += q
+        vx *= inv_delta
+        vy = one_x * qy
+        vy *= inv_delta
         partials = (ux, uy, vx, vy)
     meta = dict(w.meta)
     meta["delta"] = fam.delta
@@ -368,6 +415,11 @@ class ResidualReport:
             "hy": self.hy,
             "boundary_excluded": self.boundary_excluded,
         }
+
+
+def _max_abs(r) -> float:
+    """max |r| without an |r| temporary; NaN propagates and -0.0 reads 0.0."""
+    return abs(float(np.maximum(r.max(), -r.min())))
 
 
 def _grid_spacings(xs, ys):
@@ -424,28 +476,34 @@ def system_residual(
         if not uv.has_partials:
             raise ValueError("analytic mode needs a field carrying partial grids")
         ux, uy, vx, vy = uv.partials
-        X, Y = np.meshgrid(xs, ys)
-        alpha, beta = field.values(X, Y)
-        r1 = ux - alpha * vy
-        r2 = vx + uy - beta * vy
-        return ResidualReport(
-            float(np.abs(r1).max()), float(np.abs(r2).max()), r1, r2,
-            "analytic", None, None, boundary_excluded=False,
-        )
-    if mode != "fd":
+        hx = hy = None
+    elif mode == "fd":
+        hx, hy = _grid_spacings(xs, ys)
+        sx, sy = _stride_for(h, hx, hy)
+        ux, uy = _central_diffs(uv.u, hx, hy, sx, sy)
+        vx, vy = _central_diffs(uv.v, hx, hy, sx, sy)
+        xs, ys = xs[sx:-sx], ys[sy:-sy]
+        hx, hy = sx * hx, sy * hy
+    else:
         raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
-    hx, hy = _grid_spacings(xs, ys)
-    sx, sy = _stride_for(h, hx, hy)
-    ux, uy = _central_diffs(uv.u, hx, hy, sx, sy)
-    vx, vy = _central_diffs(uv.v, hx, hy, sx, sy)
-    Xi, Yi = np.meshgrid(xs[sx:-sx], ys[sy:-sy])
-    alpha, beta = field.values(Xi, Yi)
-    r1 = ux - alpha * vy
-    r2 = vx + uy - beta * vy
+    alpha, beta = field.values(xs[None, :], ys[:, None])
+    r1 = alpha * vy
+    np.subtract(ux, r1, out=r1)
+    r2 = beta * vy
+    np.subtract(vx + uy, r2, out=r2)
     return ResidualReport(
-        float(np.abs(r1).max()), float(np.abs(r2).max()), r1, r2,
-        "fd", sx * hx, sy * hy, boundary_excluded=True,
+        _max_abs(r1), _max_abs(r2), r1, r2,
+        mode, hx, hy, boundary_excluded=mode == "fd",
     )
+
+
+def _fd_partials(w: ComplexField, h):
+    """Central-difference (wx, wy) on the interior window, with that
+    window's x and y axes."""
+    hx, hy = _grid_spacings(w.xs, w.ys)
+    sx, sy = _stride_for(h, hx, hy)
+    wx, wy = _central_diffs(w.values, hx, hy, sx, sy)
+    return wx, wy, w.xs[sx:-sx], w.ys[sy:-sy]
 
 
 def transport_residual(
@@ -462,31 +520,28 @@ def transport_residual(
     if mode == "analytic":
         if not w.has_partials:
             raise ValueError("analytic mode needs a field carrying wx, wy grids")
-        X, Y = np.meshgrid(w.xs, w.ys)
-        lam = (Y + 1j * fam.delta) / (1.0 + X)
-        return w.wx + lam * w.wy
-    if mode != "fd":
+        wx, wy, xs, ys = w.wx, w.wy, w.xs, w.ys
+    elif mode == "fd":
+        wx, wy, xs, ys = _fd_partials(w, h)
+    else:
         raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
-    hx, hy = _grid_spacings(w.xs, w.ys)
-    sx, sy = _stride_for(h, hx, hy)
-    wx, wy = _central_diffs(w.values, hx, hy, sx, sy)
-    Xi, Yi = np.meshgrid(w.xs[sx:-sx], w.ys[sy:-sy])
-    lam = (Yi + 1j * fam.delta) / (1.0 + Xi)
-    return wx + lam * wy
+    res = (ys[:, None] + 1j * fam.delta) / (1.0 + xs[None, :])  # lambda
+    res *= wy
+    res += wx
+    return res
 
 
 def transport_residual_from_field(field: CoefficientField, w: ComplexField,
                                   h: float | None = None):
     """fd transport residual with lambda derived from an arbitrary
     coefficient field instead of the built-in family."""
-    hx, hy = _grid_spacings(w.xs, w.ys)
-    sx, sy = _stride_for(h, hx, hy)
-    wx, wy = _central_diffs(w.values, hx, hy, sx, sy)
-    Xi, Yi = np.meshgrid(w.xs[sx:-sx], w.ys[sy:-sy])
+    wx, wy, xs, ys = _fd_partials(w, h)
     from .analysis import _spectral_at
 
-    lam = _spectral_at(field, Xi, Yi)
-    return wx + lam * wy
+    lam = _spectral_at(field, xs[None, :], ys[:, None])
+    res = lam * wy  # not in place: a field may hand out its own array
+    res += wx
+    return res
 
 
 # ---------------------------------------------------------------------------

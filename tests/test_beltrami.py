@@ -171,6 +171,16 @@ def test_neumann_divergence_verdict():
     assert trace.residuals[-1] > 1e3 * trace.residuals[0]
 
 
+def test_problem_rejects_non_finite_mu():
+    # a NaN used to run the whole budget and report max-iter, sup_mu = nan
+    grid = TorusGrid(64)
+    for bad in (np.nan, np.inf, complex(0.1, np.nan)):
+        mu = np.zeros((64, 64), dtype=complex)
+        mu[3, 40] = bad
+        with pytest.raises(ValueError, match=r"\(i, j\) = \(3, 40\)"):
+            BeltramiProblem(mu, grid)
+
+
 def test_neumann_zero_budget_reports_max_iter():
     grid = TorusGrid(32)
     _, trace = solve_beltrami_neumann(

@@ -245,6 +245,27 @@ def test_field_evaluation_outside_region_fails():
         field.values(1.5, 0.5)
 
 
+@pytest.mark.parametrize("x,y,named", [
+    (np.nan, 0.0, "(nan, 0.0)"),
+    (0.0, np.nan, "(0.0, nan)"),
+    (np.array([0.25, np.inf]), 0.5, "(inf, 0.5)"),
+    (0.25, np.array([[0.5], [-np.inf]]), "(0.25, -inf)"),
+])
+def test_fields_reject_non_finite_coordinates(x, y, named):
+    # NaN compares False against every bound, so a comparison-only domain
+    # check let it through and the family returned (nan, nan)
+    fields = [
+        DeltaField(DeltaFamily(1.0)),
+        CallableField(lambda x, y: x * 0 + 2.0, lambda x, y: y * 0),
+        CallableField(lambda x, y: x * 0 + 2.0, lambda x, y: y * 0,
+                      region=Region(0.0, 1.0, 0.0, 1.0)),
+    ]
+    for field in fields:
+        with pytest.raises(DomainError, match="non-finite") as excinfo:
+            field.values(x, y)
+        assert named in str(excinfo.value)
+
+
 def test_aligned_gridspec_without_zero_in_range():
     # no zero to align on: counts are only made odd
     grid = aligned_gridspec(Region(0.25, 1.25, 0.5, 1.5), 10, 11)

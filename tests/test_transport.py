@@ -30,6 +30,7 @@ from rigidpde.transport import (
     system_residual,
     to_real_pair,
     transport_residual,
+    transport_residual_from_field,
     write_complex_csv,
     write_field_header,
     write_real_pair_csv,
@@ -179,7 +180,7 @@ def test_solve_metadata_records_choices():
     assert "full-rectangle" in w.meta["evaluation"]
 
 
-def test_solve_cost_is_one_evaluation_regardless_of_delta():
+def test_solve_cost_is_one_evaluation_regardless_of_delta(monkeypatch):
     calls = []
 
     class Counting(LambdaPower):
@@ -191,6 +192,21 @@ def test_solve_cost_is_one_evaluation_regardless_of_delta():
         n0 = len(calls)
         solve_characteristic(DeltaFamily(delta), Counting(2), K, GridSpec(9, 9))
         assert len(calls) - n0 == 1
+
+    # exp profiles take their derivative from the value: one exp per solve
+    exps = []
+    np_exp = np.exp
+
+    def counting_exp(*args, **kwargs):
+        exps.append(args[0].shape)
+        return np_exp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counting_exp)
+    for delta in (1.0, 1e-10):
+        n0 = len(exps)
+        solve_characteristic(DeltaFamily(delta), ExpAffine(0.5 + 0.5j, 0.1j), K,
+                             GridSpec(9, 7))
+        assert exps[n0:] == [(7, 9)]
 
 
 # --- spectral identification --------------------------------------------------
@@ -363,6 +379,168 @@ def test_fd_stride_control():
     assert rep.hx == pytest.approx(h)
     with pytest.raises(ValueError):
         system_residual(DeltaField(fam), uv, mode="fd", h=1.7 * (w.xs[1] - w.xs[0]))
+
+
+# --- reference: the full-meshgrid formulas -------------------------------------
+# The kernels work on broadcast axes and build their grids in place; these
+# are the meshgrid formulas they replaced, kept as the reference.  Real
+# arithmetic is unchanged, so w, u and v must match bit for bit (signbit
+# included).  NumPy rounds an in-place complex product differently from
+# an out-of-place one, so the other grids are held to 4 ulps of their
+# largest entry, compared kernel by kernel on identical inputs (chained,
+# the ulp moves in wx are amplified by 1/delta in the cancelling vx).
+
+def ref_solve(fam, f0, region, grid):
+    xs, ys = grid_axes(region, grid)
+    X, Y = np.meshgrid(xs, ys)
+    inv = 1.0 / (1.0 + X)
+    zeta = (Y - 1j * fam.delta * X) * inv
+    w = np.asarray(f0.evaluate(zeta, fam.delta), dtype=complex)
+    df = np.asarray(f0.derivative(zeta, fam.delta), dtype=complex)
+    lam = (Y + 1j * fam.delta) * inv
+    return ComplexField(xs, ys, w, wx=df * (-(lam * inv)), wy=df * inv)
+
+
+def ref_lambda_parts(fam, xs, ys):
+    X, Y = np.meshgrid(xs, ys)
+    inv = 1.0 / (1.0 + X)
+    return X, Y, inv, Y * inv, fam.delta * inv  # X, Y, inv, a, b
+
+
+def ref_to_real_pair(fam, w):
+    X, Y, inv, a, b = ref_lambda_parts(fam, w.xs, w.ys)
+    p, q = w.values.real, w.values.imag
+    ratio = a / b
+    px, qx = w.wx.real, w.wx.imag
+    py, qy = w.wy.real, w.wy.imag
+    inv_delta = 1.0 / fam.delta
+    partials = (px - ratio * qx,
+                py - q * inv_delta - ratio * qy,
+                (q + (1.0 + X) * qx) * inv_delta,
+                (1.0 + X) * qy * inv_delta)
+    return RealPairField(w.xs, w.ys, p - ratio * q, q / b, partials=partials)
+
+
+def ref_from_real_pair(fam, uv):
+    X, Y, inv, a, b = ref_lambda_parts(fam, uv.xs, uv.ys)
+    ux, uy, vx, vy = uv.partials
+    a_x = -(a * inv)
+    b_x = -(b * inv)
+    w = (uv.u + a * uv.v) + 1j * (b * uv.v)
+    wx = (ux + a_x * uv.v + a * vx) + 1j * (b_x * uv.v + b * vx)
+    wy = (uy + inv * uv.v + a * vy) + 1j * (b * vy)
+    return ComplexField(uv.xs, uv.ys, w, wx=wx, wy=wy)
+
+
+def ref_system_residual(field, xs, ys, ux, uy, vx, vy):
+    alpha, beta = field.values(*np.meshgrid(xs, ys))
+    return ux - alpha * vy, vx + uy - beta * vy
+
+
+def ref_lambda(fam, xs, ys):
+    X, Y = np.meshgrid(xs, ys)
+    return (Y + 1j * fam.delta) / (1.0 + X)
+
+
+def assert_bits(a, b):
+    assert a.shape == b.shape
+    np.testing.assert_array_equal(np.ascontiguousarray(a).view(np.uint64),
+                                  np.ascontiguousarray(b).view(np.uint64))
+
+
+def assert_ulps(a, b, n=4, scale=None):
+    scale = np.abs(b).max() if scale is None else scale
+    assert a.shape == b.shape
+    assert np.abs(a - b).max() <= n * np.spacing(scale)
+
+
+REF_F0 = ("poly:0.3,-1i,0.25", "poly:1.5-2i", "exp:0.5+0.5i,0.1-0.2i", "exp:1",
+          "lpow:3", "lpow:0")
+
+
+def central(f, hx, hy):
+    """Interior central differences (stride 1) of a grid."""
+    return ((f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hx),
+            (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hy))
+
+
+def check_against_reference(fam, f0, region, grid):
+    field = DeltaField(fam)
+    w = solve_characteristic(fam, f0, region, grid)
+    w_ref = ref_solve(fam, f0, region, grid)
+    assert_bits(w.values, w_ref.values)
+    assert_ulps(w.wx, w_ref.wx)
+    assert_ulps(w.wy, w_ref.wy)
+
+    uv = to_real_pair(fam, w)
+    chained = ref_to_real_pair(fam, w_ref)
+    assert_bits(uv.u, chained.u)
+    assert_bits(uv.v, chained.v)
+    uv_ref = ref_to_real_pair(fam, w)
+    for got, want in zip(uv.partials, uv_ref.partials):
+        assert_ulps(got, want)
+
+    w2 = from_real_pair(fam, uv)
+    w2_ref = ref_from_real_pair(fam, uv)
+    # equal values; the reference's 1j*(b*v) can flip the sign of a zero
+    np.testing.assert_array_equal(w2.values, w2_ref.values)
+    assert_ulps(w2.wx, w2_ref.wx)
+    assert_ulps(w2.wy, w2_ref.wy)
+
+    rep = system_residual(field, uv, mode="analytic")
+    r1, r2 = ref_system_residual(field, uv.xs, uv.ys, *uv.partials)
+    assert_ulps(rep.r1, r1)
+    assert_ulps(rep.r2, r2)
+    assert rep.max_r1 == np.abs(r1).max() and rep.max_r2 == np.abs(r2).max()
+    # the transport residual cancels; its rounding is on the scale of its terms
+    res = transport_residual(fam, w2, mode="analytic")
+    assert_ulps(res, w2.wx + ref_lambda(fam, w2.xs, w2.ys) * w2.wy,
+                scale=np.abs(w2.wx).max())
+
+    if min(grid.nx, grid.ny) >= 3:
+        rep = system_residual(field, uv, mode="fd")
+        ux, uy = central(uv.u, rep.hx, rep.hy)
+        vx, vy = central(uv.v, rep.hx, rep.hy)
+        r1, r2 = ref_system_residual(field, uv.xs[1:-1], uv.ys[1:-1],
+                                     ux, uy, vx, vy)
+        assert_ulps(rep.r1, r1)
+        assert_ulps(rep.r2, r2)
+        wx, wy = central(w.values, rep.hx, rep.hy)
+        xi, yi = w.xs[1:-1], w.ys[1:-1]
+        res = transport_residual(fam, w, mode="fd")
+        assert_ulps(res, wx + ref_lambda(fam, xi, yi) * wy,
+                    scale=np.abs(wx).max())
+        res = transport_residual_from_field(field, w)
+        lam = field.spectral(*np.meshgrid(xi, yi))[0]
+        assert_ulps(res, wx + lam * wy, scale=np.abs(wx).max())
+
+
+@pytest.mark.parametrize("region,grid", [
+    (K, GridSpec(7, 23)),                                   # aligned: 0 on both axes
+    (K, GridSpec(65, 65)),
+    (K, GridSpec(64, 63)),                                  # unaligned
+    (Region(-0.3, 2.7, -1.3, 0.9), GridSpec(41, 29)),
+])
+@pytest.mark.parametrize("delta", [1.0, 0.3, 1e-3, 1e-6, 1e-10, 1e-12])
+def test_kernels_match_meshgrid_reference(region, grid, delta):
+    for f0 in REF_F0:
+        check_against_reference(DeltaFamily(delta), parse_f0(f0), region, grid)
+
+
+def test_kernels_match_meshgrid_reference_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(nx=st.integers(2, 48), ny=st.integers(2, 48),
+               log_delta=st.floats(-12.0, 0.0), f0=st.sampled_from(REF_F0),
+               x0=st.floats(-0.9, 1.0), y0=st.floats(-2.0, 1.0))
+    def check(nx, ny, log_delta, f0, x0, y0):
+        check_against_reference(DeltaFamily(10.0 ** log_delta), parse_f0(f0),
+                                Region(x0, x0 + 1.5, y0, y0 + 2.0),
+                                GridSpec(nx, ny))
+
+    check()
 
 
 # --- serialization -------------------------------------------------------------
