@@ -15,6 +15,7 @@ from .errors import (
     DegenerateStructure,
     DomainError,
     InvalidBranch,
+    NonFiniteCoefficient,
     NotElliptic,
     RigidPdeError,
     StencilOutOfDomain,

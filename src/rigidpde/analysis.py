@@ -14,7 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateStructure, InvalidBranch, NotElliptic, StencilOutOfDomain
+from .errors import (
+    DegenerateStructure,
+    InvalidBranch,
+    NonFiniteCoefficient,
+    NotElliptic,
+    StencilOutOfDomain,
+)
 from .fields import (
     REFERENCE_WINDOW,
     CoefficientField,
@@ -89,14 +95,32 @@ def obstruction(cs: CoefficientSample):
     return _obstruction_with_disc(cs, discriminant(cs))
 
 
-def _obstruction_with_disc(cs: CoefficientSample, disc):
-    alpha = np.asarray(cs.alpha)
-    beta = np.asarray(cs.beta)
-    t1 = np.asarray(cs.alpha_x) - alpha * np.asarray(cs.beta_y)
-    t2 = np.asarray(cs.beta_x) + np.asarray(cs.alpha_y) - beta * np.asarray(cs.beta_y)
-    a = (beta * t1 - 2.0 * alpha * t2) / disc
-    b = (2.0 * t1 - beta * t2) / disc
-    return a, b
+def _obstruction_with_disc(cs: CoefficientSample, disc, work=None):
+    """(A, B) from a sample and its discriminant, formed in ``work``: four
+    float buffers of the broadcast shape (allocated when not given), which
+    end up holding B and A in ``work[0]`` and ``work[3]``.  Each step is one
+    in-place operation in the order of the formula."""
+    alpha, beta = cs.alpha, cs.beta
+    if work is None:
+        shape = np.broadcast_shapes(*(np.shape(v) for v in (
+            alpha, beta, cs.alpha_x, cs.alpha_y, cs.beta_x, cs.beta_y, disc)))
+        work = np.empty((4,) + shape)
+    t1, t2, tmp, a = (work[k, ...] for k in range(4))
+    np.multiply(alpha, cs.beta_y, out=t1)
+    np.subtract(cs.alpha_x, t1, out=t1)  # alpha_x - alpha*beta_y
+    np.multiply(beta, cs.beta_y, out=tmp)
+    np.add(cs.beta_x, cs.alpha_y, out=t2)
+    t2 -= tmp                            # beta_x + alpha_y - beta*beta_y
+    np.multiply(alpha, 2.0, out=tmp)
+    tmp *= t2
+    np.multiply(beta, t1, out=a)
+    a -= tmp
+    a /= disc                            # (beta*t1 - 2*alpha*t2) / disc
+    np.multiply(beta, t2, out=tmp)
+    t1 *= 2.0
+    t1 -= tmp
+    t1 /= disc                           # (2*t1 - beta*t2) / disc
+    return a[()], t1[()]
 
 
 @dataclass
@@ -210,58 +234,69 @@ class RegionScanReport:
                 f"{self.kappa:.{digits}g}")
 
 
+# A scan works through the grid in row chunks of about this many nodes, so
+# each float temporary (256 KB) stays in a core's L2 cache however wide the
+# grid is.
+SCAN_CHUNK_NODES = 1 << 15
+
+
 def scan_region(
     field: CoefficientField,
     region: Region,
     grid: GridSpec,
     rigidity_tol: float | None = None,
-    chunk_rows: int = 128,
+    chunk_rows: int | None = None,
 ) -> RegionScanReport:
     """Grid scan of a coefficient field: inf/sup of |mu|, the condition
     number from the grid supremum, max |A| and |B|, and the rigidity
     verdict max(|A|,|B|) < rigidity_tol.
 
     Raises NotElliptic with the node location if any node fails the
-    discriminant test.  The scan runs in row chunks; min/max reductions
-    are order-independent.
+    discriminant test, InvalidBranch if the field's closed-form lambda
+    leaves the upper half-plane, and NonFiniteCoefficient naming the
+    quantity and the node when alpha, beta, a partial, |mu|, A or B is
+    NaN or infinite there.
+
+    The scan samples the field on the broadcast axes ``xs[None, :]`` and
+    ``ys[a:b, None]`` of one chunk of ``chunk_rows`` grid rows at a time.
+    By default a chunk holds as many rows as fit in SCAN_CHUNK_NODES nodes
+    (at least one), so its temporaries stay cache-sized at any grid width;
+    |mu| and (A, B) are formed in buffers reused from chunk to chunk.  The
+    min/max reductions are exact and order-independent, so the report
+    does not depend on ``chunk_rows``.
     """
     if rigidity_tol is None:
         rigidity_tol = (RIGIDITY_TOL_CLOSED_FORM if field.closed_form_partials
                         else RIGIDITY_TOL_FINITE_DIFF)
     xs, ys = grid_axes(region, grid)
-    inf_mu, sup_mu = np.inf, -np.inf
-    max_a, max_b = 0.0, 0.0
-    for start in range(0, ys.size, chunk_rows):
-        yc = ys[start:start + chunk_rows]
-        X, Y = np.meshgrid(xs, yc)
-        cs = field.sample(X, Y)
-        sp = field.spectral(X, Y)
-        if sp is not None:
-            lam = sp[0]
-            b = lam.imag
-            if np.any(b <= 0.0):
-                j, i = np.unravel_index(int(np.argmin(b)), b.shape)
-                raise InvalidBranch(
-                    f"field's spectral data has Im(lambda) = {b[j, i]:.6g} "
-                    f"<= 0 at (x={X[j, i]:.9g}, y={Y[j, i]:.9g})"
-                )
-            disc = (b + b) ** 2
-        else:
-            disc = 4.0 * np.asarray(cs.alpha) - np.asarray(cs.beta) ** 2
-            if np.any(disc <= 0.0):
-                j, i = np.unravel_index(int(np.argmin(disc)), disc.shape)
-                raise NotElliptic(disc[j, i], x=X[j, i], y=Y[j, i])
-            lam = 0.5 * (-np.asarray(cs.beta) + 1j * np.sqrt(disc))
-        abs_mu = np.abs((lam - 1j) / (lam + 1j))
-        a, b_ = _obstruction_with_disc(cs, disc)
-        inf_mu = min(inf_mu, float(abs_mu.min()))
-        sup_mu = max(sup_mu, float(abs_mu.max()))
-        max_a = max(max_a, float(np.abs(a).max()))
-        max_b = max(max_b, float(np.abs(b_).max()))
+    if chunk_rows is None:
+        chunk_rows = max(1, SCAN_CHUNK_NODES // xs.size)
+    if chunk_rows < 1:
+        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
+    x = xs[None, :]
+    rows = min(chunk_rows, ys.size)
+    real = np.empty((6, rows, xs.size))
+    cplx = np.empty((3, rows, xs.size), dtype=complex)
+    # Running maxima of -|mu|, |mu|, A, -A, B, -B; np.maximum keeps NaN.
+    ext = np.full(6, -np.inf)
+    with np.errstate(all="ignore"):  # non-finite values raise below
+        for start in range(0, ys.size, chunk_rows):
+            y = ys[start:start + chunk_rows, None]
+            n = y.shape[0]
+            abs_mu, a, b, named = _scan_chunk(field, x, y, real[:, :n],
+                                              cplx[:, :n])
+            chunk = np.array([-abs_mu.min(), abs_mu.max(), a.max(), -a.min(),
+                              b.max(), -b.min()])
+            if not np.isfinite(chunk).all():
+                _raise_non_finite(x, y, named)
+            np.maximum(ext, chunk, out=ext)
+    sup_mu = float(ext[1])
+    max_a = abs(float(max(ext[2], ext[3])))
+    max_b = abs(float(max(ext[4], ext[5])))
     return RegionScanReport(
         region=region,
         grid=grid,
-        inf_mu=inf_mu,
+        inf_mu=-float(ext[0]),
         sup_mu=sup_mu,
         kappa=condition_number(sup_mu),
         max_abs_A=max_a,
@@ -272,6 +307,71 @@ def scan_region(
                   else "finite-difference"),
         delta=getattr(field, "delta", None),
     )
+
+
+def _scan_chunk(field: CoefficientField, x, y, real, cplx):
+    """|mu|, A and B on the nodes of the axes x (1, nx) and y (n, 1),
+    formed in the buffers ``real`` (6, n, nx) and ``cplx`` (3, n, nx);
+    also returns the named quantities a non-finite value is looked up in.
+    """
+    cs = field.sample(x, y)
+    sp = field.spectral(x, y)
+    named = [("alpha", cs.alpha), ("beta", cs.beta), ("alpha_x", cs.alpha_x),
+             ("alpha_y", cs.alpha_y), ("beta_x", cs.beta_x),
+             ("beta_y", cs.beta_y)]
+    disc, abs_mu = real[0], real[1]
+    if sp is not None:
+        lam = sp[0]
+        b = lam.imag
+        if not b.min() > 0.0:
+            _raise_non_finite(x, y, named + [("lambda", lam)])
+            b = np.broadcast_to(b, disc.shape)
+            j, i = np.unravel_index(int(np.argmin(b)), b.shape)
+            raise InvalidBranch(
+                f"field's spectral data has Im(lambda) = {b[j, i]:.6g} "
+                f"<= 0 at (x={x[0, i]:.9g}, y={y[j, 0]:.9g})"
+            )
+        np.add(b, b, out=disc)
+        disc *= disc                       # (b + b)**2
+    else:
+        np.multiply(cs.beta, cs.beta, out=abs_mu)
+        np.multiply(cs.alpha, 4.0, out=disc)
+        disc -= abs_mu                     # 4*alpha - beta**2
+        if not disc.min() > 0.0:
+            _raise_non_finite(x, y, named)
+            j, i = np.unravel_index(int(np.argmin(disc)), disc.shape)
+            raise NotElliptic(disc[j, i], x=x[0, i], y=y[j, 0])
+        lam = cplx[0]                      # 0.5*(-beta + 1j*sqrt(disc))
+        np.subtract(0.0, cs.beta, out=lam.real)
+        lam.real *= 0.5
+        np.sqrt(disc, out=lam.imag)
+        lam.imag *= 0.5
+    num, den = cplx[1], cplx[2]
+    np.subtract(lam, 1j, out=num)
+    np.add(lam, 1j, out=den)
+    num /= den
+    np.abs(num, out=abs_mu)                # |(lambda - i)/(lambda + i)|
+    a, b = _obstruction_with_disc(cs, disc, real[2:])
+    return abs_mu, a, b, named + [("lambda", lam), ("|mu|", abs_mu), ("A", a),
+                                  ("B", b)]
+
+
+def _raise_non_finite(x, y, named):
+    """Raise NonFiniteCoefficient at the first node (row-major, then in
+    the order of ``named``) where a named quantity on the axes x (1, nx),
+    y (n, 1) is NaN or infinite; return when there is none."""
+    shape = (y.shape[0], x.shape[1])
+    first = None
+    for name, v in named:
+        v = np.broadcast_to(v, shape)
+        bad = ~np.isfinite(v)
+        k = int(np.argmax(bad))
+        if bad.flat[k] and (first is None or k < first[0]):
+            first = (k, name, v.flat[k].item())
+    if first is not None:
+        k, name, value = first
+        j, i = np.unravel_index(k, shape)
+        raise NonFiniteCoefficient(name, value, x[0, i], y[j, 0])
 
 
 # The delta values of the built-in degeneration table.

@@ -3,8 +3,8 @@
 Subcommands
 -----------
 analyze   scan a coefficient field over a rectangle; exit 0 when elliptic
-          everywhere (2 when a node fails the discriminant test, with the
-          node printed)
+          everywhere (2 when a node fails the discriminant test, 1 when a
+          quantity is NaN or infinite at a node, with the node printed)
 table1    the built-in degeneration table of the delta family over the
           reference window [-1/2,1]x[-1,1]
 solve     characteristic solve for an initial profile; writes the w and

@@ -28,6 +28,23 @@ class NotElliptic(RigidPdeError):
         )
 
 
+class NonFiniteCoefficient(RigidPdeError):
+    """A coefficient, a partial or a derived structure quantity (lambda,
+    |mu|, A, B) is NaN or infinite at a node.
+
+    Carries the quantity's name, its value and the node location.
+    """
+
+    def __init__(self, name, value, x, y):
+        self.name = name
+        self.value = value
+        self.x = float(x)
+        self.y = float(y)
+        super().__init__(
+            f"non-finite {name} = {value!r} at (x={self.x!r}, y={self.y!r})"
+        )
+
+
 class InvalidBranch(RigidPdeError):
     """A spectral parameter with Im(lambda) <= 0 was passed where the
     upper-half-plane branch is required."""

@@ -209,12 +209,12 @@ class CoefficientField:
     closed_form_partials: bool = False
 
     def values(self, x, y):
-        """Raw (alpha, beta) samples."""
+        """Raw (alpha, beta) samples; raises DomainError (via
+        :meth:`check_domain`) for nodes outside the field's domain."""
         raise NotImplementedError
 
     def sample(self, x, y, h=None) -> CoefficientSample:
         """Coefficients plus first partials (finite differences here)."""
-        self.check_domain(x, y)
         return numeric_partials(self, x, y, h=h)
 
     def spectral(self, x, y):
@@ -533,21 +533,18 @@ def numeric_partials(field: CoefficientField, x, y=None, h=None) -> CoefficientS
     if np.any(h <= 0.0):
         raise ValueError("finite-difference step must be > 0")
 
+    # values() checks its nodes: a bad centre is the caller's DomainError,
+    # a foot outside the field's domain is the stencil's.
+    alpha, beta = field.values(x, y)
     try:
-        field.check_domain(x - h, y)
-        field.check_domain(x + h, y)
-        field.check_domain(x, y - h)
-        field.check_domain(x, y + h)
+        a_e, b_e = field.values(x + h, y)
+        a_w, b_w = field.values(x - h, y)
+        a_n, b_n = field.values(x, y + h)
+        a_s, b_s = field.values(x, y - h)
     except DomainError as exc:
         raise StencilOutOfDomain(
             f"stencil of half-width h leaves the field's region: {exc}"
         ) from exc
-
-    alpha, beta = field.values(x, y)
-    a_e, b_e = field.values(x + h, y)
-    a_w, b_w = field.values(x - h, y)
-    a_n, b_n = field.values(x, y + h)
-    a_s, b_s = field.values(x, y - h)
     two_h = 2.0 * h
     return CoefficientSample(
         alpha=alpha,
@@ -568,5 +565,6 @@ def delta_coefficients(fam: DeltaFamily, p: Point) -> CoefficientSample:
 def write_field_csv(field: CoefficientField, region: Region, grid: GridSpec, path):
     """Sample a field on a grid and write the x,y,alpha,beta table."""
     xs, ys = grid_axes(region, grid)
-    alpha, beta = field.values(*np.meshgrid(xs, ys))
+    alpha, beta = (np.broadcast_to(v, (ys.size, xs.size))
+                   for v in field.values(xs[None, :], ys[:, None]))
     write_lattice_csv(path, ["x", "y", "alpha", "beta"], xs, ys, [alpha, beta])
