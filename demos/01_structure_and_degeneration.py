@@ -13,12 +13,9 @@ from rigidpde import (
     REFERENCE_WINDOW,
     DeltaFamily,
     DeltaField,
-    PerturbedDeltaField,
-    Point,
     aligned_gridspec,
     burgers_residual,
     degeneration_table,
-    delta_coefficients,
     scan_region,
     structure_sample,
 )
@@ -29,7 +26,7 @@ print("=" * 72)
 
 for delta, (x, y) in [(1.0, (0.0, 0.0)), (1.0, (0.0, 1.0)), (0.1, (1.0, 1.0))]:
     fam = DeltaFamily(delta)
-    cs = delta_coefficients(fam, Point(x, y))
+    cs = DeltaField(fam).sample(x, y)
     ss = structure_sample(cs)
     print(f"delta={delta:<4g} (x,y)=({x:g},{y:g}):  alpha={cs.alpha:.4g} "
           f"beta={cs.beta:.4g}  disc={ss.disc:.4g}  lambda={ss.lam:.4g}  "
@@ -60,7 +57,7 @@ print("3. Rigidity triage of a non-rigid field")
 print("=" * 72)
 
 fam = DeltaFamily(0.5)
-broken = PerturbedDeltaField(fam, eps=0.1)   # alpha shifted by +0.1
+broken = DeltaField(fam, eps=0.1)   # alpha shifted by +0.1
 grid = aligned_gridspec(REFERENCE_WINDOW, 201, 201)
 
 for name, field in [("delta family", DeltaField(fam)), ("perturbed", broken)]:

@@ -84,7 +84,8 @@ print("=" * 72)
 
 w = solve_characteristic(fam, LambdaPower(1), K, grid)
 bad = w.values.conj()  # conj(lambda) does not solve the transport equation
-res = transport_residual(fam, ComplexField(w.xs, w.ys, bad), mode="fd")
-good = transport_residual(fam, w, mode="fd")
+res = transport_residual(DeltaField(fam), ComplexField(w.xs, w.ys, bad),
+                         mode="fd")
+good = transport_residual(DeltaField(fam), w, mode="fd")
 print(f"|w_x + lambda*w_y|: solution {np.abs(good).max():.2e} vs "
       f"conjugated field {np.abs(res).max():.2e}")

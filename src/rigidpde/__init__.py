@@ -33,7 +33,6 @@ from .fields import (
     Point,
     Region,
     aligned_gridspec,
-    delta_coefficients,
     grid_axes,
     grid_points,
     numeric_partials,

@@ -19,7 +19,6 @@ from .errors import (
     InvalidBranch,
     NonFiniteCoefficient,
     NotElliptic,
-    StencilOutOfDomain,
 )
 from .fields import (
     REFERENCE_WINDOW,
@@ -31,7 +30,7 @@ from .fields import (
     Point,
     Region,
     aligned_gridspec,
-    default_fd_step,
+    central_stencil,
     grid_axes,
 )
 
@@ -45,19 +44,44 @@ def discriminant(cs: CoefficientSample):
     """Ellipticity discriminant 4*alpha - beta**2 (> 0 on elliptic points).
 
     Raises NotElliptic carrying the offending value when any point has a
-    non-positive discriminant.
+    non-positive discriminant, and NonFiniteCoefficient when alpha or beta
+    is NaN or infinite.
     """
-    disc = 4.0 * np.asarray(cs.alpha) - np.asarray(cs.beta) * np.asarray(cs.beta)
-    if np.any(disc <= 0.0):
-        raise NotElliptic(np.min(disc))
-    return disc
+    return _lambda_from(cs.alpha, cs.beta)[0]
 
 
 def spectral_parameter(cs: CoefficientSample):
     """Root lambda = (-beta + i*sqrt(4*alpha - beta**2))/2 of
     X**2 + beta*X + alpha = 0 on the branch Im(lambda) > 0."""
-    disc = discriminant(cs)
-    return 0.5 * (-np.asarray(cs.beta) + 1j * np.sqrt(disc))
+    return _lambda_from(cs.alpha, cs.beta)[1]
+
+
+def _lambda_from(alpha, beta, x=None, y=None, named=(), disc=None, lam=None):
+    """(disc, lambda) = (4*alpha - beta**2, (-beta + i*sqrt(disc))/2),
+    formed in the buffers ``disc`` and ``lam`` when given.
+
+    A disc <= 0 raises NonFiniteCoefficient at the first node (x, y) where
+    a quantity of ``named`` (default alpha, beta) is NaN or infinite, else
+    NotElliptic at the node of the smallest disc; x, y None: no node.
+    """
+    shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta), np.shape(x),
+                                np.shape(y))
+    if disc is None:
+        disc = np.empty(shape)
+    if lam is None:
+        lam = np.empty(shape, dtype=complex)
+    np.multiply(alpha, 4.0, out=lam.real)
+    np.multiply(beta, beta, out=disc)
+    np.subtract(lam.real, disc, out=disc)  # 4*alpha - beta**2
+    if not disc.min() > 0.0:               # NaN fails too
+        _raise_non_finite(x, y, named or [("alpha", alpha), ("beta", beta)])
+        k = int(np.argmin(disc))
+        raise NotElliptic(disc.flat[k], *_node(x, y, k, disc.shape))
+    np.subtract(0.0, beta, out=lam.real)
+    lam.real *= 0.5
+    np.sqrt(disc, out=lam.imag)
+    lam.imag *= 0.5
+    return disc[()], lam[()]
 
 
 def beltrami_coefficient(lam):
@@ -138,24 +162,27 @@ class StructureSample:
 def structure_sample(cs: CoefficientSample) -> StructureSample:
     """Bundle discriminant, spectral parameter, Beltrami coefficient and
     obstruction computed from one coefficient sample."""
-    disc = discriminant(cs)
-    lam = 0.5 * (-np.asarray(cs.beta) + 1j * np.sqrt(disc))
+    disc, lam = _lambda_from(cs.alpha, cs.beta)
     mu = beltrami_coefficient(lam)
     a, b = _obstruction_with_disc(cs, disc)
     return StructureSample(disc, lam, mu, np.abs(mu), a, b)
 
 
-def _spectral_at(field: CoefficientField, x, y):
-    """lambda at (x, y): closed form when the field provides it, otherwise
-    derived from raw (alpha, beta) samples."""
+def spectral_lambda(field: CoefficientField, x, y):
+    """lambda at (x, y): the field's closed form when it has one, otherwise
+    derived from its raw (alpha, beta) samples.  Raises NonFiniteCoefficient
+    naming alpha, beta or lambda and the first bad node when one is NaN or
+    infinite, and NotElliptic with the node when the discriminant is <= 0.
+    """
     sp = field.spectral(x, y)
     if sp is not None:
         return sp[0]
     alpha, beta = field.values(x, y)
-    disc = 4.0 * alpha - beta * beta
-    if np.any(disc <= 0.0):
-        raise NotElliptic(np.min(disc))
-    return 0.5 * (-beta + 1j * np.sqrt(disc))
+    with np.errstate(over="ignore"):  # an overflow raises below
+        disc, lam = _lambda_from(alpha, beta, x, y)
+    if not disc.max() < np.inf:
+        _raise_non_finite(x, y, [("lambda", lam)])
+    return lam
 
 
 def burgers_residual(field: CoefficientField, p, h=None):
@@ -165,29 +192,16 @@ def burgers_residual(field: CoefficientField, p, h=None):
 
     Uses the field's closed-form spectral partials when available, else
     central differences of lambda at step h.  ``p`` may be a Point or an
-    (x, y) pair of scalars/arrays.
+    (x, y) pair of scalars/arrays.  A centre outside the field's domain
+    raises DomainError; a stencil foot outside it, StencilOutOfDomain.
     """
     x, y = (p.x, p.y) if isinstance(p, Point) else p
     sp = field.spectral(x, y)
     if sp is not None:
         lam, lam_x, lam_y = sp
         return lam_x + lam * lam_y
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if h is None:
-        h = default_fd_step(x, y)
-    h = np.asarray(h, dtype=float)
-    try:
-        lam = _spectral_at(field, x, y)
-        lam_e = _spectral_at(field, x + h, y)
-        lam_w = _spectral_at(field, x - h, y)
-        lam_n = _spectral_at(field, x, y + h)
-        lam_s = _spectral_at(field, x, y - h)
-    except NotElliptic:
-        raise
-    except Exception as exc:  # field region violations at stencil feet
-        raise StencilOutOfDomain(str(exc)) from exc
-    two_h = 2.0 * h
+    two_h, lam, (lam_e, lam_w, lam_n, lam_s) = central_stencil(
+        lambda x, y: spectral_lambda(field, x, y), x, y, h)
     return (lam_e - lam_w) / two_h + lam * (lam_n - lam_s) / two_h
 
 
@@ -334,18 +348,7 @@ def _scan_chunk(field: CoefficientField, x, y, real, cplx):
         np.add(b, b, out=disc)
         disc *= disc                       # (b + b)**2
     else:
-        np.multiply(cs.beta, cs.beta, out=abs_mu)
-        np.multiply(cs.alpha, 4.0, out=disc)
-        disc -= abs_mu                     # 4*alpha - beta**2
-        if not disc.min() > 0.0:
-            _raise_non_finite(x, y, named)
-            j, i = np.unravel_index(int(np.argmin(disc)), disc.shape)
-            raise NotElliptic(disc[j, i], x=x[0, i], y=y[j, 0])
-        lam = cplx[0]                      # 0.5*(-beta + 1j*sqrt(disc))
-        np.subtract(0.0, cs.beta, out=lam.real)
-        lam.real *= 0.5
-        np.sqrt(disc, out=lam.imag)
-        lam.imag *= 0.5
+        lam = _lambda_from(cs.alpha, cs.beta, x, y, named, disc, cplx[0])[1]
     num, den = cplx[1], cplx[2]
     np.subtract(lam, 1j, out=num)
     np.add(lam, 1j, out=den)
@@ -357,10 +360,12 @@ def _scan_chunk(field: CoefficientField, x, y, real, cplx):
 
 
 def _raise_non_finite(x, y, named):
-    """Raise NonFiniteCoefficient at the first node (row-major, then in
-    the order of ``named``) where a named quantity on the axes x (1, nx),
-    y (n, 1) is NaN or infinite; return when there is none."""
-    shape = (y.shape[0], x.shape[1])
+    """Raise NonFiniteCoefficient at the first node (row-major over the
+    broadcast shape, then in the order of ``named``) where a named
+    quantity is NaN or infinite; return when there is none.  ``x`` and
+    ``y`` locate the nodes (None: unknown)."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y),
+                                *(np.shape(v) for _, v in named))
     first = None
     for name, v in named:
         v = np.broadcast_to(v, shape)
@@ -370,8 +375,16 @@ def _raise_non_finite(x, y, named):
             first = (k, name, v.flat[k].item())
     if first is not None:
         k, name, value = first
-        j, i = np.unravel_index(k, shape)
-        raise NonFiniteCoefficient(name, value, x[0, i], y[j, 0])
+        raise NonFiniteCoefficient(name, value, *_node(x, y, k, shape))
+
+
+def _node(x, y, k, shape):
+    """(x, y) of the k-th node (row-major) of the broadcast shape, or
+    (None, None) when the nodes are not located."""
+    if x is None:
+        return None, None
+    return (float(np.broadcast_to(x, shape).flat[k]),
+            float(np.broadcast_to(y, shape).flat[k]))
 
 
 # The delta values of the built-in degeneration table.

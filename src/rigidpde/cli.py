@@ -56,7 +56,6 @@ from .transport import (
     system_residual,
     to_real_pair,
     transport_residual,
-    transport_residual_from_field,
     write_complex_csv,
     write_field_header,
     write_real_pair_csv,
@@ -195,10 +194,7 @@ def cmd_verify(args) -> int:
         print(f"max |r2| = {report.max_r2:.6g}")
     else:
         w = read_complex_csv(args.w_csv)
-        if isinstance(field, DeltaField):
-            res = transport_residual(field.family, w, mode="fd", h=args.h)
-        else:
-            res = transport_residual_from_field(field, w, h=args.h)
+        res = transport_residual(field, w, mode="fd", h=args.h)
         max_res = float(np.abs(res).max())
         print("mode: fd (transport residual, boundary rim excluded)")
         print(f"max |w_x + lambda*w_y| = {max_res:.6g}")

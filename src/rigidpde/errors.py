@@ -32,17 +32,17 @@ class NonFiniteCoefficient(RigidPdeError):
     """A coefficient, a partial or a derived structure quantity (lambda,
     |mu|, A, B) is NaN or infinite at a node.
 
-    Carries the quantity's name, its value and the node location.
+    Carries the quantity's name, its value and, when known, the node
+    location.
     """
 
-    def __init__(self, name, value, x, y):
+    def __init__(self, name, value, x=None, y=None):
         self.name = name
         self.value = value
-        self.x = float(x)
-        self.y = float(y)
-        super().__init__(
-            f"non-finite {name} = {value!r} at (x={self.x!r}, y={self.y!r})"
-        )
+        self.x = None if x is None else float(x)
+        self.y = None if y is None else float(y)
+        where = "" if x is None else f" at (x={self.x!r}, y={self.y!r})"
+        super().__init__(f"non-finite {name} = {value!r}{where}")
 
 
 class InvalidBranch(RigidPdeError):

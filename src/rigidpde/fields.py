@@ -250,41 +250,52 @@ class CoefficientField:
 
 
 class DeltaField(CoefficientField):
-    """The built-in family with closed-form partials.
+    """The built-in family, with alpha shifted by a constant eps >= 0, and
+    its closed-form partials and spectral data.
 
-    alpha  = (y**2 + delta**2) / (1+x)**2      alpha_x = -2*alpha/(1+x)
-    beta   = -2*y / (1+x)                      alpha_y = beta_x = 2*y/(1+x)**2
-                                               beta_y  = -2/(1+x)
+    alpha  = (y**2 + delta**2) / (1+x)**2 + eps   alpha_x = -2*(alpha - eps)/(1+x)
+    beta   = -2*y / (1+x)                         alpha_y = beta_x = 2*y/(1+x)**2
+                                                  beta_y  = -2/(1+x)
+    lambda = a + i*b,  a = y/(1+x),  b = sqrt((delta/(1+x))**2 + eps)
+
+    eps = 0 is the family itself, whose transport obstruction vanishes.
+    eps > 0 keeps it uniformly elliptic (the discriminant gains 4*eps) but
+    the obstruction no longer vanishes: the rigidity-breaking fixture.
     """
 
     closed_form_partials = True
 
-    def __init__(self, family: DeltaFamily):
+    def __init__(self, family: DeltaFamily, eps: float = 0.0):
+        if not 0.0 <= eps < np.inf:
+            raise ValueError(f"eps must be finite and >= 0, got {eps}")
         self.family = family
+        self.eps = float(eps)
 
     @property
     def delta(self) -> float:
         return self.family.delta
 
-    def values(self, x, y):
+    def _y_inv(self, x, y):
+        """y and inv = 1/(1+x) as arrays, after the domain check."""
         self.check_domain(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        inv = 1.0 / (1.0 + x)
+        return (np.asarray(y, dtype=float),
+                1.0 / (1.0 + np.asarray(x, dtype=float)))
+
+    def values(self, x, y):
+        y, inv = self._y_inv(x, y)
         p = y * y + self.delta * self.delta
         alpha = (p * inv) * inv
+        alpha += self.eps
         beta = y * (-2.0 * inv)
         return alpha, beta
 
     def sample(self, x, y, h=None) -> CoefficientSample:
         # Evaluation order matters: alpha_x is stored as the literal product
-        # alpha*beta_y and alpha_y/beta_x share one expression, so the two
+        # alpha*beta_y (before the eps shift, which has zero derivative) and
+        # alpha_y/beta_x share one expression, so at eps = 0 the two
         # rigidity combinations alpha_x - alpha*beta_y and
         # beta_x + alpha_y - beta*beta_y cancel exactly in floating point.
-        self.check_domain(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        inv = 1.0 / (1.0 + x)
+        y, inv = self._y_inv(x, y)
         beta_y = -2.0 * inv
         beta = y * beta_y
         s = (y * inv) * inv
@@ -293,76 +304,35 @@ class DeltaField(CoefficientField):
         p = y * y + self.delta * self.delta
         alpha = (p * inv) * inv
         alpha_x = alpha * beta_y
+        alpha += self.eps
         return CoefficientSample(alpha, beta, alpha_x, alpha_y, beta_x, beta_y)
 
     def spectral(self, x, y):
-        # lambda = (y + i*delta)/(1+x); writing lambda_x = -(lambda*inv)
-        # makes lambda_x + lambda*lambda_y vanish exactly in floating point.
-        self.check_domain(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        inv = 1.0 / (1.0 + x)
-        lam = (y + 1j * self.delta) * inv
-        lam_x = -(lam * inv)
+        # lambda_x = -(a*inv) - i*(d_inv*inv)*(d_inv/b).  At eps = 0, b is
+        # d_inv itself, so lambda_x is -(lambda*inv) and lambda_x +
+        # lambda*lambda_y vanishes exactly in floating point.  inv, d_inv
+        # and b depend on x alone and stay rows.
+        y, inv = self._y_inv(x, y)
+        d_inv = self.delta * inv
+        # at eps = 0, b = d_inv: what sqrt(d_inv**2) gives unless it underflows
+        b = np.sqrt(d_inv * d_inv + self.eps) if self.eps else d_inv
+        lam = np.empty(np.broadcast_shapes(inv.shape, y.shape), dtype=complex)
+        np.multiply(y + 0.0, inv, out=lam.real)  # a, with y = -0.0 read as 0.0
+        lam.imag = b
+        lam_x = np.empty_like(lam)
+        np.multiply(lam.real, -inv, out=lam_x.real)
+        lam_x.imag = -(d_inv * inv) * (d_inv / b)
         lam_y = inv + 0j
-        return lam, lam_x, lam_y
+        return lam[()], lam_x[()], lam_y
 
 
-class PerturbedDeltaField(CoefficientField):
-    """Rigidity-breaking fixture: alpha shifted by a constant eps > 0,
-    beta unchanged.  Stays uniformly elliptic (discriminant gains 4*eps)
-    but the transport obstruction no longer vanishes."""
-
-    closed_form_partials = True
+class PerturbedDeltaField(DeltaField):
+    """The rigidity-breaking fixture: a DeltaField whose eps must be > 0."""
 
     def __init__(self, family: DeltaFamily, eps: float):
         if not (eps > 0.0):
             raise ValueError(f"eps must be > 0, got {eps}")
-        self.family = family
-        self.eps = float(eps)
-
-    @property
-    def delta(self) -> float:
-        return self.family.delta
-
-    def values(self, x, y):
-        self.check_domain(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        inv = 1.0 / (1.0 + x)
-        p = y * y + self.delta * self.delta
-        alpha = (p * inv) * inv + self.eps
-        beta = y * (-2.0 * inv)
-        return alpha, beta
-
-    def sample(self, x, y, h=None) -> CoefficientSample:
-        self.check_domain(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        inv = 1.0 / (1.0 + x)
-        beta_y = -2.0 * inv
-        beta = y * beta_y
-        s = (y * inv) * inv
-        alpha_y = 2.0 * s
-        beta_x = alpha_y
-        p = y * y + self.delta * self.delta
-        alpha_unp = (p * inv) * inv
-        alpha = alpha_unp + self.eps
-        alpha_x = alpha_unp * beta_y  # the eps shift has zero derivative
-        return CoefficientSample(alpha, beta, alpha_x, alpha_y, beta_x, beta_y)
-
-    def spectral(self, x, y):
-        self.check_domain(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        inv = 1.0 / (1.0 + x)
-        a = y * inv
-        d_inv = self.delta * inv
-        b = np.sqrt(d_inv * d_inv + self.eps)
-        lam = a + 1j * b
-        lam_x = -(a * inv) - 1j * (d_inv * d_inv * inv / b)
-        lam_y = inv + 0j
-        return lam, lam_x, lam_y
+        super().__init__(family, eps)
 
 
 class CallableField(CoefficientField):
@@ -517,6 +487,31 @@ def _parse_lattice_csv(fh, header):
     return lattice_from_columns(*data.T)
 
 
+def central_stencil(fn, x, y, h=None):
+    """``fn`` at the centre (x, y) and at the four feet (east, west, north,
+    south) of the central-difference stencil of half-width h (default
+    default_fd_step); returns (2*h, centre value, [foot values]).
+
+    The centre is evaluated first, so a bad centre raises the caller's
+    DomainError; a DomainError at a foot becomes StencilOutOfDomain.
+    """
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if h is None:
+        h = default_fd_step(x, y)
+    h = np.broadcast_to(np.asarray(h, dtype=float), np.broadcast(x, y).shape)
+    if np.any(h <= 0.0):
+        raise ValueError("finite-difference step must be > 0")
+    centre = fn(x, y)
+    try:
+        feet = [fn(x + h, y), fn(x - h, y), fn(x, y + h), fn(x, y - h)]
+    except DomainError as exc:
+        raise StencilOutOfDomain(
+            f"stencil of half-width h leaves the field's region: {exc}"
+        ) from exc
+    return 2.0 * h, centre, feet
+
+
 def numeric_partials(field: CoefficientField, x, y=None, h=None) -> CoefficientSample:
     """Central-difference partials of a coefficient field (O(h**2)); the
     alpha, beta entries are exact samples at the center point.
@@ -525,27 +520,8 @@ def numeric_partials(field: CoefficientField, x, y=None, h=None) -> CoefficientS
     """
     if isinstance(x, Point):
         x, y = x.x, x.y
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if h is None:
-        h = default_fd_step(x, y)
-    h = np.broadcast_to(np.asarray(h, dtype=float), np.broadcast(x, y).shape)
-    if np.any(h <= 0.0):
-        raise ValueError("finite-difference step must be > 0")
-
-    # values() checks its nodes: a bad centre is the caller's DomainError,
-    # a foot outside the field's domain is the stencil's.
-    alpha, beta = field.values(x, y)
-    try:
-        a_e, b_e = field.values(x + h, y)
-        a_w, b_w = field.values(x - h, y)
-        a_n, b_n = field.values(x, y + h)
-        a_s, b_s = field.values(x, y - h)
-    except DomainError as exc:
-        raise StencilOutOfDomain(
-            f"stencil of half-width h leaves the field's region: {exc}"
-        ) from exc
-    two_h = 2.0 * h
+    two_h, (alpha, beta), feet = central_stencil(field.values, x, y, h)
+    (a_e, b_e), (a_w, b_w), (a_n, b_n), (a_s, b_s) = feet
     return CoefficientSample(
         alpha=alpha,
         beta=beta,
@@ -554,12 +530,6 @@ def numeric_partials(field: CoefficientField, x, y=None, h=None) -> CoefficientS
         beta_x=(b_e - b_w) / two_h,
         beta_y=(b_n - b_s) / two_h,
     )
-
-
-def delta_coefficients(fam: DeltaFamily, p: Point) -> CoefficientSample:
-    """Closed-form coefficients and partials of the built-in family at a
-    single point."""
-    return DeltaField(fam).sample(p.x, p.y)
 
 
 def write_field_csv(field: CoefficientField, region: Region, grid: GridSpec, path):

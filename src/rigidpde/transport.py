@@ -17,6 +17,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from .analysis import spectral_lambda
 from .errors import StencilOutOfDomain
 from .fields import (
     CoefficientField,
@@ -197,12 +198,35 @@ def parse_f0(descriptor: str) -> InitialData:
 # Grid-sampled solution fields.
 
 @dataclass
-class ComplexField:
-    """Complex scalar w sampled on a grid, optionally with analytic partial
-    grids and descriptive metadata."""
+class _GridField:
+    """Node axes shared by the grid-sampled solution fields, whose grids
+    have the shape (ny, nx)."""
 
     xs: np.ndarray
     ys: np.ndarray
+
+    def _check_grids(self, *grids):
+        shape = (self.ys.size, self.xs.size)
+        if any(g.shape != shape for g in grids):
+            shapes = "/".join(str(g.shape) for g in grids)
+            raise ValueError(f"grid shapes {shapes} do not match {shape}")
+        if not all(np.all(np.isfinite(g)) for g in grids):
+            raise ValueError("field contains non-finite entries")
+
+    @property
+    def region(self) -> Region:
+        return Region(self.xs[0], self.xs[-1], self.ys[0], self.ys[-1])
+
+    @property
+    def grid(self) -> GridSpec:
+        return GridSpec(self.xs.size, self.ys.size)
+
+
+@dataclass
+class ComplexField(_GridField):
+    """Complex scalar w sampled on a grid, optionally with analytic partial
+    grids and descriptive metadata."""
+
     values: np.ndarray             # shape (ny, nx)
     wx: np.ndarray | None = None   # analytic d/dx grid, same shape
     wy: np.ndarray | None = None
@@ -210,21 +234,7 @@ class ComplexField:
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        if self.values.shape != (self.ys.size, self.xs.size):
-            raise ValueError(
-                f"values shape {self.values.shape} does not match grid "
-                f"({self.ys.size}, {self.xs.size})"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("field contains non-finite entries")
-
-    @property
-    def region(self) -> Region:
-        return Region(self.xs[0], self.xs[-1], self.ys[0], self.ys[-1])
-
-    @property
-    def grid(self) -> GridSpec:
-        return GridSpec(self.xs.size, self.ys.size)
+        self._check_grids(self.values)
 
     @property
     def has_partials(self) -> bool:
@@ -232,33 +242,17 @@ class ComplexField:
 
 
 @dataclass
-class RealPairField:
+class RealPairField(_GridField):
     """Real solution pair (u, v) sampled on a grid, optionally with the
     four analytic partial grids (ux, uy, vx, vy)."""
 
-    xs: np.ndarray
-    ys: np.ndarray
     u: np.ndarray
     v: np.ndarray
     partials: tuple | None = None  # (ux, uy, vx, vy)
     meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        shape = (self.ys.size, self.xs.size)
-        if self.u.shape != shape or self.v.shape != shape:
-            raise ValueError(
-                f"u/v shapes {self.u.shape}/{self.v.shape} do not match {shape}"
-            )
-        if not (np.all(np.isfinite(self.u)) and np.all(np.isfinite(self.v))):
-            raise ValueError("field contains non-finite entries")
-
-    @property
-    def region(self) -> Region:
-        return Region(self.xs[0], self.xs[-1], self.ys[0], self.ys[-1])
-
-    @property
-    def grid(self) -> GridSpec:
-        return GridSpec(self.xs.size, self.ys.size)
+        self._check_grids(self.u, self.v)
 
     @property
     def has_partials(self) -> bool:
@@ -497,22 +491,15 @@ def system_residual(
     )
 
 
-def _fd_partials(w: ComplexField, h):
-    """Central-difference (wx, wy) on the interior window, with that
-    window's x and y axes."""
-    hx, hy = _grid_spacings(w.xs, w.ys)
-    sx, sy = _stride_for(h, hx, hy)
-    wx, wy = _central_diffs(w.values, hx, hy, sx, sy)
-    return wx, wy, w.xs[sx:-sx], w.ys[sy:-sy]
-
-
 def transport_residual(
-    fam: DeltaFamily,
+    field: CoefficientField,
     w: ComplexField,
     mode: str = "fd",
     h: float | None = None,
 ):
-    """Residual w_x + lambda*w_y of the scalar transport equation.
+    """Residual w_x + lambda*w_y of the scalar transport equation, with
+    lambda taken from the coefficient field (closed form when the field
+    has one, else from its alpha and beta).
 
     Returns the complex residual grid: full-shape for analytic mode, the
     interior window for fd mode (one stencil rim excluded).
@@ -522,24 +509,14 @@ def transport_residual(
             raise ValueError("analytic mode needs a field carrying wx, wy grids")
         wx, wy, xs, ys = w.wx, w.wy, w.xs, w.ys
     elif mode == "fd":
-        wx, wy, xs, ys = _fd_partials(w, h)
+        hx, hy = _grid_spacings(w.xs, w.ys)
+        sx, sy = _stride_for(h, hx, hy)
+        wx, wy = _central_diffs(w.values, hx, hy, sx, sy)
+        xs, ys = w.xs[sx:-sx], w.ys[sy:-sy]
     else:
         raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
-    res = (ys[:, None] + 1j * fam.delta) / (1.0 + xs[None, :])  # lambda
-    res *= wy
-    res += wx
-    return res
-
-
-def transport_residual_from_field(field: CoefficientField, w: ComplexField,
-                                  h: float | None = None):
-    """fd transport residual with lambda derived from an arbitrary
-    coefficient field instead of the built-in family."""
-    wx, wy, xs, ys = _fd_partials(w, h)
-    from .analysis import _spectral_at
-
-    lam = _spectral_at(field, xs[None, :], ys[:, None])
-    res = lam * wy  # not in place: a field may hand out its own array
+    res = spectral_lambda(field, xs[None, :], ys[:, None])
+    res = res * wy  # not in place: a field may hand out its own array
     res += wx
     return res
 

@@ -14,7 +14,14 @@ from rigidpde.analysis import (
     spectral_parameter,
     structure_sample,
 )
-from rigidpde.errors import DegenerateStructure, InvalidBranch, NotElliptic
+from rigidpde.errors import (
+    DegenerateStructure,
+    DomainError,
+    InvalidBranch,
+    NonFiniteCoefficient,
+    NotElliptic,
+    StencilOutOfDomain,
+)
 from rigidpde.fields import (
     REFERENCE_WINDOW,
     CallableField,
@@ -205,6 +212,73 @@ def test_rigidity_equivalence_of_the_two_detectors():
         r_small = np.abs(burgers_residual(field, (x, y))) < 1e-12
         assert np.all(ab_small == r_small)
         assert np.all(ab_small == expect_rigid)
+
+
+def nan_quarter_field(region=None):
+    """The family at delta = 0.1 with alpha NaN for x > 0.25, y > 0."""
+    return CallableField(
+        lambda x, y: np.where((x > 0.25) & (y > 0), np.nan,
+                              (y * y + 1e-2) / ((1.0 + x) * (1.0 + x))),
+        lambda x, y: -2.0 * y / (1.0 + x), region=region)
+
+
+def test_burgers_fd_names_a_non_finite_coefficient():
+    # lambda from values let NaN through: (0.5, 0.5) and (0.5, 0) gave nan+nanj
+    field = nan_quarter_field()
+    with pytest.raises(NonFiniteCoefficient) as excinfo:
+        burgers_residual(field, (0.5, 0.5))
+    assert str(excinfo.value) == "non-finite alpha = nan at (x=0.5, y=0.5)"
+    # a finite centre whose north foot is NaN: the foot is named, unchanged
+    with pytest.raises(NonFiniteCoefficient) as excinfo:
+        burgers_residual(field, (0.5, 0.0))
+    assert (excinfo.value.name, excinfo.value.x) == ("alpha", 0.5)
+    assert excinfo.value.y == pytest.approx(1e-5, rel=1e-12)
+    # array points: the first bad one in order
+    with pytest.raises(NonFiniteCoefficient) as excinfo:
+        burgers_residual(field, (np.array([0.0, 0.1, 0.75, 0.5]),
+                                 np.array([0.0, 0.5, 0.25, 0.5])))
+    assert (excinfo.value.x, excinfo.value.y) == (0.75, 0.25)
+    assert np.all(np.isfinite(burgers_residual(field, (np.array([0.0, 0.1]),
+                                                       np.array([0.0, 0.5])))))
+
+
+def test_burgers_fd_names_an_overflowing_lambda():
+    field = CallableField(lambda x, y: x * 0 + 1e308, lambda x, y: y * 0)
+    with pytest.raises(NonFiniteCoefficient) as excinfo:
+        burgers_residual(field, (0.5, 0.5))
+    assert excinfo.value.name == "lambda"
+    assert (excinfo.value.x, excinfo.value.y) == (0.5, 0.5)
+
+
+def test_burgers_fd_not_elliptic_reaches_the_caller_with_the_point():
+    # elliptic for x <= 0.5 only (disc 3 there, -0.6 beyond)
+    field = CallableField(lambda x, y: np.where(x > 0.5, 0.1, 1.0),
+                          lambda x, y: y * 0 + 1.0)
+    with pytest.raises(NotElliptic) as excinfo:
+        burgers_residual(field, (0.75, -0.25))
+    assert (excinfo.value.x, excinfo.value.y) == (0.75, -0.25)
+    with pytest.raises(NotElliptic) as excinfo:  # at the east foot
+        burgers_residual(field, (0.5, 0.0))
+    assert excinfo.value.x > 0.5
+
+
+def test_burgers_fd_blames_the_centre_not_the_stencil():
+    field = nan_quarter_field(region=REFERENCE_WINDOW)
+    for p in ((2.0, 0.0), (np.nan, 0.0)):
+        with pytest.raises(DomainError) as excinfo:
+            burgers_residual(field, p)
+        assert not isinstance(excinfo.value, StencilOutOfDomain)
+    with pytest.raises(StencilOutOfDomain, match="stencil"):
+        burgers_residual(field, (1.0, -0.5))  # a centre on the region's edge
+
+
+def test_lambda_from_samples_names_non_finite_inputs():
+    cs = CoefficientSample(alpha=np.array([1.0, np.nan]), beta=0.0,
+                           alpha_x=0.0, alpha_y=0.0, beta_x=0.0, beta_y=0.0)
+    for derive in (discriminant, spectral_parameter, structure_sample):
+        with pytest.raises(NonFiniteCoefficient,
+                           match=r"^non-finite alpha = nan$"):
+            derive(cs)
 
 
 # --- region scans -----------------------------------------------------------

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from rigidpde.analysis import burgers_residual
 from rigidpde.errors import DomainError, StencilOutOfDomain
 from rigidpde.fields import (
     REFERENCE_WINDOW,
@@ -9,10 +10,10 @@ from rigidpde.fields import (
     DeltaField,
     GridSpec,
     GridTableField,
+    PerturbedDeltaField,
     Point,
     Region,
     aligned_gridspec,
-    delta_coefficients,
     grid_axes,
     grid_points,
     numeric_partials,
@@ -47,7 +48,7 @@ def test_region_validation():
 
 
 def test_delta_coefficients_at_origin():
-    cs = delta_coefficients(DeltaFamily(1.0), Point(0.0, 0.0))
+    cs = DeltaField(DeltaFamily(1.0)).sample(0.0, 0.0)
     assert cs.alpha == 1.0
     assert cs.beta == 0.0
     assert cs.alpha_x == -2.0
@@ -57,7 +58,7 @@ def test_delta_coefficients_at_origin():
 
 
 def test_delta_coefficients_at_0_1():
-    cs = delta_coefficients(DeltaFamily(1.0), Point(0.0, 1.0))
+    cs = DeltaField(DeltaFamily(1.0)).sample(0.0, 1.0)
     assert cs.alpha == 2.0
     assert cs.beta == -2.0
 
@@ -94,7 +95,7 @@ def test_numeric_partials_match_closed_form():
     fam = DeltaFamily(1.0)
     bare = _bare_family_field(1.0)
     fd = numeric_partials(bare, 0.0, 0.0, h=1e-4)
-    exact = delta_coefficients(fam, Point(0.0, 0.0))
+    exact = DeltaField(fam).sample(0.0, 0.0)
     for name in ("alpha_x", "alpha_y", "beta_x", "beta_y"):
         assert abs(getattr(fd, name) - getattr(exact, name)) < 1e-6
     assert fd.alpha == exact.alpha  # center samples are exact
@@ -113,7 +114,7 @@ def test_numeric_partials_constant_field():
 
 def test_numeric_partials_error_quarters_when_h_halves():
     bare = _bare_family_field(0.7)
-    exact = delta_coefficients(DeltaFamily(0.7), Point(0.25, 0.4))
+    exact = DeltaField(DeltaFamily(0.7)).sample(0.25, 0.4)
 
     def err(h):
         fd = numeric_partials(bare, 0.25, 0.4, h=h)
@@ -126,7 +127,7 @@ def test_numeric_partials_error_quarters_when_h_halves():
 def test_numeric_partials_second_order_slope():
     # log-log slope 2 +/- 0.1 over h in {1e-2, 5e-3, 2.5e-3}
     bare = _bare_family_field(1.0)
-    exact = delta_coefficients(DeltaFamily(1.0), Point(0.1, 0.6))
+    exact = DeltaField(DeltaFamily(1.0)).sample(0.1, 0.6)
     hs = np.array([1e-2, 5e-3, 2.5e-3])
     errs = []
     for h in hs:
@@ -285,3 +286,133 @@ def test_grid_table_rejects_non_finite_entries():
     alpha = np.array([[1.0, 1.0], [np.inf, 1.0]])
     with pytest.raises(ValueError):
         GridTableField(xs, ys, alpha, np.zeros((2, 2)))
+
+
+# --- DeltaField(family, eps) against the parent's two classes ---------------
+# ref_family and ref_perturbed are the formulas of the former DeltaField and
+# PerturbedDeltaField, kept verbatim as references for the merged class.
+
+def ref_family(delta, x, y):
+    inv = 1.0 / (1.0 + x)
+    p = y * y + delta * delta
+    values = ((p * inv) * inv, y * (-2.0 * inv))
+    beta_y = -2.0 * inv
+    beta = y * beta_y
+    s = (y * inv) * inv
+    alpha_y = 2.0 * s
+    alpha = (p * inv) * inv
+    sample = (alpha, beta, alpha * beta_y, alpha_y, alpha_y, beta_y)
+    lam = (y + 1j * delta) * inv
+    return values, sample, (lam, -(lam * inv), inv + 0j)
+
+
+def ref_perturbed(delta, eps, x, y):
+    inv = 1.0 / (1.0 + x)
+    p = y * y + delta * delta
+    values = ((p * inv) * inv + eps, y * (-2.0 * inv))
+    beta_y = -2.0 * inv
+    beta = y * beta_y
+    s = (y * inv) * inv
+    alpha_y = 2.0 * s
+    alpha_unp = (p * inv) * inv
+    sample = (alpha_unp + eps, beta, alpha_unp * beta_y, alpha_y, alpha_y,
+              beta_y)
+    a = y * inv
+    d_inv = delta * inv
+    b = np.sqrt(d_inv * d_inv + eps)
+    lam = a + 1j * b
+    lam_x = -(a * inv) - 1j * (d_inv * d_inv * inv / b)
+    return values, sample, (lam, lam_x, inv + 0j)
+
+
+def bits(v):
+    """The IEEE bit patterns of a real or complex array (sign of zero
+    included)."""
+    v = np.asarray(v)
+    parts = (v.real, v.imag) if np.iscomplexobj(v) else (v,)
+    return [np.ascontiguousarray(p, dtype=float).view(np.uint64) for p in parts]
+
+
+def assert_same_bits(got, want):
+    shape = np.broadcast_shapes(np.shape(got), np.shape(want))
+    for g, w in zip(bits(np.broadcast_to(got, shape)),
+                    bits(np.broadcast_to(want, shape))):
+        np.testing.assert_array_equal(g, w)
+
+
+def eval_points():
+    """Broadcast axes of an aligned and an unaligned grid (each with an
+    extra y = -0.0 row), and scalar points including y = -0.0."""
+    for grid in (aligned_gridspec(REFERENCE_WINDOW, 41, 41), GridSpec(40, 37)):
+        xs, ys = grid_axes(REFERENCE_WINDOW, grid)
+        yield xs[None, :], np.append(ys, -0.0)[:, None]
+    for x, y in ((0.0, 0.0), (0.25, -0.0), (-0.3, 0.7), (1.0, -1.0)):
+        yield np.float64(x), np.float64(y)
+
+
+DELTAS = (1e-200, 1e-12, 1e-6, 1e-3, 0.1, 1.0)
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_delta_field_at_eps_zero_is_the_family_bit_for_bit(delta):
+    field = DeltaField(DeltaFamily(delta))
+    for x, y in eval_points():
+        values, sample, spectral = ref_family(delta, x, y)
+        for got, want in zip(field.values(x, y), values):
+            assert_same_bits(got, want)
+        cs = field.sample(x, y)
+        for got, want in zip((cs.alpha, cs.beta, cs.alpha_x, cs.alpha_y,
+                              cs.beta_x, cs.beta_y), sample):
+            assert_same_bits(got, want)
+        for got, want in zip(field.spectral(x, y), spectral):
+            assert_same_bits(got, want)
+
+
+@pytest.mark.parametrize("eps", (1e-3, 1e-2, 0.1))
+@pytest.mark.parametrize("delta", DELTAS)
+def test_delta_field_with_eps_is_the_perturbed_fixture(delta, eps):
+    field = DeltaField(DeltaFamily(delta), eps)
+    for x, y in eval_points():
+        values, sample, (lam, lam_x, lam_y) = ref_perturbed(delta, eps, x, y)
+        for got, want in zip(field.values(x, y), values):
+            assert_same_bits(got, want)
+        cs = field.sample(x, y)
+        for got, want in zip((cs.alpha, cs.beta, cs.alpha_x, cs.alpha_y,
+                              cs.beta_x, cs.beta_y), sample):
+            assert_same_bits(got, want)
+        got_lam, got_lam_x, got_lam_y = field.spectral(x, y)
+        assert_same_bits(got_lam, lam)
+        assert_same_bits(got_lam_y, lam_y)
+        # lambda_x is written as -(a*inv) - i*(d_inv*inv)*(d_inv/b), the form
+        # that is exact at eps = 0: its imaginary part rounds differently
+        # from the fixture's d_inv*d_inv*inv/b, and its real part reads
+        # -0.0 where the fixture's read +0.0 (at y = -0.0)
+        np.testing.assert_array_equal(got_lam_x.real, np.broadcast_to(
+            lam_x.real, np.shape(got_lam_x)))
+        np.testing.assert_array_max_ulp(got_lam_x.imag, lam_x.imag, maxulp=2)
+
+
+@pytest.mark.parametrize("delta", DELTAS)
+def test_family_transport_law_is_exactly_zero(delta):
+    field = DeltaField(DeltaFamily(delta))
+    for x, y in eval_points():
+        r = burgers_residual(field, (x, y))
+        assert np.all(r == 0.0)
+
+
+def test_delta_field_rejects_bad_eps():
+    fam = DeltaFamily(0.5)
+    for eps in (-1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps"):
+            DeltaField(fam, eps)
+    for eps in (0.0, -1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError, match="eps"):
+            PerturbedDeltaField(fam, eps)
+    assert DeltaField(fam).eps == 0.0
+
+
+def test_perturbed_delta_field_is_a_delta_field():
+    fixture = PerturbedDeltaField(DeltaFamily(0.5), 0.1)
+    assert isinstance(fixture, DeltaField)
+    assert (fixture.delta, fixture.eps) == (0.5, 0.1)
+    assert fixture.closed_form_partials

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from rigidpde.errors import NonFiniteCoefficient
 from rigidpde.fields import (
     REFERENCE_WINDOW,
+    CallableField,
     DeltaFamily,
     DeltaField,
     GridSpec,
@@ -30,7 +32,6 @@ from rigidpde.transport import (
     system_residual,
     to_real_pair,
     transport_residual,
-    transport_residual_from_field,
     write_complex_csv,
     write_field_header,
     write_real_pair_csv,
@@ -321,15 +322,15 @@ def test_system_residual_fd_second_order():
 def test_transport_residual_exp_solution():
     fam = DeltaFamily(1.0)
     w = solve_characteristic(fam, ExpAffine(1.0, 1j), K, GridSpec(129, 129))
-    analytic = transport_residual(fam, w, mode="analytic")
+    analytic = transport_residual(DeltaField(fam), w, mode="analytic")
     assert np.abs(analytic).max() < 1e-12
-    fd = transport_residual(fam, w, mode="fd")
+    fd = transport_residual(DeltaField(fam), w, mode="fd")
     hx = w.xs[1] - w.xs[0]
     # second-order truncation; the constant ~600 is set by the third
     # derivatives of exp(lambda) near the x = -0.5 edge
     assert np.abs(fd).max() < 1e3 * hx**2
     w2 = solve_characteristic(fam, ExpAffine(1.0, 1j), K, GridSpec(257, 257))
-    ratio = np.abs(fd).max() / np.abs(transport_residual(fam, w2, mode="fd")).max()
+    ratio = np.abs(fd).max() / np.abs(transport_residual(DeltaField(fam), w2, mode="fd")).max()
     assert 3.0 < ratio < 5.0  # halving h quarters the residual
 
 
@@ -337,7 +338,7 @@ def test_transport_residual_constant_is_zero():
     fam = DeltaFamily(0.5)
     xs, ys = grid_axes(K, GridSpec(9, 9))
     w = ComplexField(xs, ys, np.full((9, 9), 1.0 - 2.0j))
-    assert np.all(transport_residual(fam, w, mode="fd") == 0.0)
+    assert np.all(transport_residual(DeltaField(fam), w, mode="fd") == 0.0)
 
 
 def test_transport_residual_detects_non_solution():
@@ -346,7 +347,7 @@ def test_transport_residual_detects_non_solution():
     xs, ys = grid_axes(K, GridSpec(199, 201))  # x = 0 lands on a node
     X, Y = np.meshgrid(xs, ys)
     w = ComplexField(xs, ys, np.conj(spectral(fam, X, Y)))
-    res = transport_residual(fam, w, mode="fd")
+    res = transport_residual(DeltaField(fam), w, mode="fd")
     Xi = X[1:-1, 1:-1]
     np.testing.assert_allclose(res, 2j * fam.delta / (1.0 + Xi) ** 2,
                                rtol=2e-3)
@@ -366,7 +367,7 @@ def test_equivalence_both_directions():
         # analytic partials propagate through the identification
         assert system_residual(field, uv, mode="analytic").max_residual < 1e-12
         w2 = from_real_pair(fam, uv)
-        assert np.abs(transport_residual(fam, w2, mode="analytic")).max() < 1e-12
+        assert np.abs(transport_residual(DeltaField(fam), w2, mode="analytic")).max() < 1e-12
 
 
 def test_fd_stride_control():
@@ -493,7 +494,7 @@ def check_against_reference(fam, f0, region, grid):
     assert_ulps(rep.r2, r2)
     assert rep.max_r1 == np.abs(r1).max() and rep.max_r2 == np.abs(r2).max()
     # the transport residual cancels; its rounding is on the scale of its terms
-    res = transport_residual(fam, w2, mode="analytic")
+    res = transport_residual(DeltaField(fam), w2, mode="analytic")
     assert_ulps(res, w2.wx + ref_lambda(fam, w2.xs, w2.ys) * w2.wy,
                 scale=np.abs(w2.wx).max())
 
@@ -507,12 +508,29 @@ def check_against_reference(fam, f0, region, grid):
         assert_ulps(rep.r2, r2)
         wx, wy = central(w.values, rep.hx, rep.hy)
         xi, yi = w.xs[1:-1], w.ys[1:-1]
-        res = transport_residual(fam, w, mode="fd")
+        res = transport_residual(DeltaField(fam), w, mode="fd")
         assert_ulps(res, wx + ref_lambda(fam, xi, yi) * wy,
                     scale=np.abs(wx).max())
-        res = transport_residual_from_field(field, w)
+        res = transport_residual(field, w)
         lam = field.spectral(*np.meshgrid(xi, yi))[0]
         assert_ulps(res, wx + lam * wy, scale=np.abs(wx).max())
+
+
+def test_transport_residual_takes_lambda_from_any_field():
+    # a field without closed-form lambda, NaN for x > 0.25, y > 0
+    field = CallableField(
+        lambda x, y: np.where((x > 0.25) & (y > 0), np.nan,
+                              (y * y + 1e-2) / ((1.0 + x) * (1.0 + x))),
+        lambda x, y: -2.0 * y / (1.0 + x))
+    xs, ys = np.linspace(0.0, 1.0, 11), np.linspace(-0.5, 0.5, 11)
+    w = ComplexField(xs, ys, np.full((11, 11), 1.0 - 2.0j))
+    with pytest.raises(NonFiniteCoefficient) as excinfo:
+        transport_residual(field, w)
+    # the first interior node in row-major order with x > 0.25, y > 0
+    assert (excinfo.value.name, excinfo.value.x, excinfo.value.y) == \
+        ("alpha", xs[3], ys[6])
+    w = ComplexField(xs[:4], ys, np.full((11, 4), 1.0 - 2.0j))
+    assert np.all(transport_residual(field, w) == 0.0)
 
 
 @pytest.mark.parametrize("region,grid", [
