@@ -44,16 +44,26 @@ def discriminant(cs: CoefficientSample):
     """Ellipticity discriminant 4*alpha - beta**2 (> 0 on elliptic points).
 
     Raises NotElliptic carrying the offending value when any point has a
-    non-positive discriminant, and NonFiniteCoefficient when alpha or beta
-    is NaN or infinite.
+    non-positive discriminant, and NonFiniteCoefficient when alpha, beta
+    or lambda is NaN or infinite.
     """
-    return _lambda_from(cs.alpha, cs.beta)[0]
+    return _finite_lambda(cs.alpha, cs.beta)[0]
 
 
 def spectral_parameter(cs: CoefficientSample):
     """Root lambda = (-beta + i*sqrt(4*alpha - beta**2))/2 of
     X**2 + beta*X + alpha = 0 on the branch Im(lambda) > 0."""
-    return _lambda_from(cs.alpha, cs.beta)[1]
+    return _finite_lambda(cs.alpha, cs.beta)[1]
+
+
+def _finite_lambda(alpha, beta, x=None, y=None):
+    """_lambda_from, also raising NonFiniteCoefficient naming lambda (at
+    the first bad node) when 4*alpha or beta**2 overflows."""
+    with np.errstate(over="ignore"):  # an overflow raises below
+        disc, lam = _lambda_from(alpha, beta, x, y)
+    if not disc.max() < np.inf:
+        _raise_non_finite(x, y, [("lambda", lam)])
+    return disc, lam
 
 
 def _lambda_from(alpha, beta, x=None, y=None, named=(), disc=None, lam=None):
@@ -162,7 +172,7 @@ class StructureSample:
 def structure_sample(cs: CoefficientSample) -> StructureSample:
     """Bundle discriminant, spectral parameter, Beltrami coefficient and
     obstruction computed from one coefficient sample."""
-    disc, lam = _lambda_from(cs.alpha, cs.beta)
+    disc, lam = _finite_lambda(cs.alpha, cs.beta)
     mu = beltrami_coefficient(lam)
     a, b = _obstruction_with_disc(cs, disc)
     return StructureSample(disc, lam, mu, np.abs(mu), a, b)
@@ -174,32 +184,31 @@ def spectral_lambda(field: CoefficientField, x, y):
     naming alpha, beta or lambda and the first bad node when one is NaN or
     infinite, and NotElliptic with the node when the discriminant is <= 0.
     """
-    sp = field.spectral(x, y)
-    if sp is not None:
-        return sp[0]
-    alpha, beta = field.values(x, y)
-    with np.errstate(over="ignore"):  # an overflow raises below
-        disc, lam = _lambda_from(alpha, beta, x, y)
-    if not disc.max() < np.inf:
-        _raise_non_finite(x, y, [("lambda", lam)])
+    lam = field.spectral(x, y)
+    if lam is None:
+        lam = _finite_lambda(*field.values(x, y), x, y)[1]
     return lam
 
 
 def burgers_residual(field: CoefficientField, p, h=None):
-    """Residual lambda_x + lambda*lambda_y of the conservative transport
-    law for the spectral parameter; zero exactly when the obstruction
-    vanishes.
+    """Residual G = lambda_x + lambda*lambda_y of the conservative
+    transport law for the spectral parameter; zero exactly when the
+    obstruction vanishes.
 
-    Uses the field's closed-form spectral partials when available, else
-    central differences of lambda at step h.  ``p`` may be a Point or an
-    (x, y) pair of scalars/arrays.  A centre outside the field's domain
-    raises DomainError; a stencil foot outside it, StencilOutOfDomain.
+    Fields with closed-form partials give G = A + lambda*B (differentiate
+    lambda**2 + beta*lambda + alpha = 0), formed as (a + lambda*b)/s with
+    s = 2*Im(lambda) and (a, b) = s*(A, B), exact where disc = s**2
+    underflows; other fields, central differences of lambda at step h.
+    ``p`` may be a Point or an (x, y) pair of scalars/arrays.  A centre
+    outside the field's domain raises DomainError; a stencil foot outside
+    it, StencilOutOfDomain.
     """
     x, y = (p.x, p.y) if isinstance(p, Point) else p
-    sp = field.spectral(x, y)
-    if sp is not None:
-        lam, lam_x, lam_y = sp
-        return lam_x + lam * lam_y
+    if field.closed_form_partials:
+        lam = spectral_lambda(field, x, y)
+        s = 2.0 * lam.imag
+        a, b = _obstruction_with_disc(field.sample(x, y), s)
+        return (a + lam * b) / s
     two_h, lam, (lam_e, lam_w, lam_n, lam_s) = central_stencil(
         lambda x, y: spectral_lambda(field, x, y), x, y, h)
     return (lam_e - lam_w) / two_h + lam * (lam_n - lam_s) / two_h
@@ -329,13 +338,12 @@ def _scan_chunk(field: CoefficientField, x, y, real, cplx):
     also returns the named quantities a non-finite value is looked up in.
     """
     cs = field.sample(x, y)
-    sp = field.spectral(x, y)
+    lam = field.spectral(x, y)
     named = [("alpha", cs.alpha), ("beta", cs.beta), ("alpha_x", cs.alpha_x),
              ("alpha_y", cs.alpha_y), ("beta_x", cs.beta_x),
              ("beta_y", cs.beta_y)]
     disc, abs_mu = real[0], real[1]
-    if sp is not None:
-        lam = sp[0]
+    if lam is not None:
         b = lam.imag
         if not b.min() > 0.0:
             _raise_non_finite(x, y, named + [("lambda", lam)])

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from .errors import DomainError
-from .fields import REFERENCE_WINDOW, DeltaFamily, Region
+from .fields import REFERENCE_WINDOW, DeltaFamily, DeltaField, Region
 
 # Iteration defaults.  The budget is deliberately modest: with the default
 # grid and truncation the iteration still converges near delta = 0.01
@@ -59,29 +59,20 @@ class TorusGrid:
         ax, ay = self.axes()
         return np.meshgrid(ax, ay)
 
-    def frequency_grids(self):
-        xi = 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.spacing)
-        return np.meshgrid(xi, xi)
 
-
-def _multiplier_beurling(grid: TorusGrid):
-    xi1, xi2 = grid.frequency_grids()
-    xic = xi1 + 1j * xi2
-    sym = np.zeros_like(xic)
+def _multipliers(grid: TorusGrid):
+    """Fourier symbols (Beurling, Cauchy) on the grid's frequencies
+    xi_c = xi1 + i*xi2: conj(xi_c)/xi_c, of unit modulus, and -2i/xi_c, the
+    inverse of dbar = (d/dx + i d/dy)/2 whose symbol is (i/2)*xi_c.  Both
+    annihilate the mean mode (solutions normalized to zero mean)."""
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    xic = xi[None, :] + 1j * xi[:, None]
     nz = xic != 0
-    sym[nz] = np.conj(xic[nz]) / xic[nz]  # unit modulus away from 0
-    return sym
-
-
-def _multiplier_cauchy(grid: TorusGrid):
-    # Inverse of dbar = (d/dx + i d/dy)/2, whose symbol is (i/2)*xi_c;
-    # the mean mode is annihilated (solutions normalized to zero mean).
-    xi1, xi2 = grid.frequency_grids()
-    xic = xi1 + 1j * xi2
-    sym = np.zeros_like(xic)
-    nz = xic != 0
-    sym[nz] = -2j / xic[nz]
-    return sym
+    beurling = np.zeros_like(xic)
+    np.divide(np.conj(xic), xic, out=beurling, where=nz)
+    cauchy = np.zeros_like(xic)
+    np.divide(-2j, xic, out=cauchy, where=nz)
+    return beurling, cauchy
 
 
 def _apply_multiplier(f, grid: TorusGrid, sym):
@@ -94,12 +85,12 @@ def _apply_multiplier(f, grid: TorusGrid, sym):
 def beurling_transform(f, grid: TorusGrid):
     """Fourier-multiplier Beurling transform: mode xi scaled by
     conj(xi)/xi, zero mode set to 0.  An L2 isometry on zero-mean data."""
-    return _apply_multiplier(f, grid, _multiplier_beurling(grid))
+    return _apply_multiplier(f, grid, _multipliers(grid)[0])
 
 
 def cauchy_transform(f, grid: TorusGrid):
     """Periodic solid Cauchy transform: inverts dbar with zero mean."""
-    return _apply_multiplier(f, grid, _multiplier_cauchy(grid))
+    return _apply_multiplier(f, grid, _multipliers(grid)[1])
 
 
 def smoothstep(t):
@@ -108,15 +99,18 @@ def smoothstep(t):
     return t * t * t * (10.0 + t * (6.0 * t - 15.0))
 
 
+def _ramp(v, lo, hi, margin):
+    """One factor of the separable window: 1 on [lo, hi], 0 outside
+    [lo - margin, hi + margin]."""
+    return smoothstep((v - (lo - margin)) / margin) * \
+        smoothstep(((hi + margin) - v) / margin)
+
+
 def truncation_bump(X, Y, inner: Region, margin: float):
     """Separable C^2 window: 1 on the inner rectangle, 0 outside a margin
     ring of the given width."""
-
-    def ramp(v, lo, hi):
-        return smoothstep((v - (lo - margin)) / margin) * \
-            smoothstep(((hi + margin) - v) / margin)
-
-    return ramp(X, inner.x_min, inner.x_max) * ramp(Y, inner.y_min, inner.y_max)
+    return (_ramp(X, inner.x_min, inner.x_max, margin)
+            * _ramp(Y, inner.y_min, inner.y_max, margin))
 
 
 def family_mu_on_torus(
@@ -139,12 +133,14 @@ def family_mu_on_torus(
     if (max(abs(inner.x_min), abs(inner.x_max)) + margin >= grid.L
             or max(abs(inner.y_min), abs(inner.y_max)) + margin >= grid.L):
         raise ValueError("truncated support does not fit inside the torus box")
-    X, Y = grid.meshgrid()
-    window = truncation_bump(X, Y, inner, margin)
-    mu = np.zeros_like(X, dtype=complex)
-    mask = window > 0.0
-    lam = (Y[mask] + 1j * fam.delta) / (1.0 + X[mask])
-    mu[mask] = window[mask] * (lam - 1j) / (lam + 1j)
+    ax, ay = grid.axes()
+    rx = _ramp(ax, inner.x_min, inner.x_max, margin)
+    ry = _ramp(ay, inner.y_min, inner.y_max, margin)
+    cols, rows = rx > 0.0, ry > 0.0  # the window's support
+    lam = DeltaField(fam).spectral(ax[None, cols], ay[rows, None])
+    mu = np.zeros((grid.n, grid.n), dtype=complex)
+    mu[np.ix_(rows, cols)] = \
+        rx[None, cols] * ry[rows, None] * (lam - 1j) / (lam + 1j)
     return mu
 
 
@@ -206,8 +202,7 @@ def solve_beltrami_neumann(problem: BeltramiProblem):
     reconstruction w = z + C(phi) and the full trace are returned.
     """
     grid = problem.grid
-    sym = _multiplier_beurling(grid)
-    cauchy = _multiplier_cauchy(grid)
+    sym, cauchy = _multipliers(grid)
     phi = np.zeros((grid.n, grid.n), dtype=complex)
     trace = IterationTrace()
     first = None
@@ -228,8 +223,8 @@ def solve_beltrami_neumann(problem: BeltramiProblem):
     else:
         trace.verdict = VERDICT_MAX_ITER
         trace.iterations = problem.max_iter
-    X, Y = grid.meshgrid()
-    w = (X + 1j * Y) + np.fft.ifft2(cauchy * np.fft.fft2(phi))
+    ax, ay = grid.axes()
+    w = (ax[None, :] + 1j * ay[:, None]) + np.fft.ifft2(cauchy * np.fft.fft2(phi))
     return w, trace
 
 

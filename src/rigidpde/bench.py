@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, fields
 
 from . import beltrami as bl
 from .analysis import scan_region
@@ -52,30 +52,23 @@ class BenchConfig:
         return parse_f0(self.f0)
 
     def to_dict(self) -> dict:
-        return {
-            "deltas": list(self.deltas),
-            "region": list(self.region.as_tuple()),
-            "grid": [self.grid.nx, self.grid.ny],
-            "f0": self.f0,
-            "repetitions": self.repetitions,
-            "include_beltrami": self.include_beltrami,
-        }
+        """Every field, so that from_dict(to_dict()) gives this config back."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update(deltas=list(self.deltas), region=list(self.region.as_tuple()),
+                 grid=[self.grid.nx, self.grid.ny])
+        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchConfig":
-        kwargs = {}
-        if "deltas" in d:
-            kwargs["deltas"] = tuple(float(v) for v in d["deltas"])
-        if "region" in d:
-            kwargs["region"] = Region(*[float(v) for v in d["region"]])
-        if "grid" in d:
-            nx, ny = d["grid"]
+        """The config with the fields given in ``d``, defaults elsewhere."""
+        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        if "deltas" in kwargs:
+            kwargs["deltas"] = tuple(float(v) for v in kwargs["deltas"])
+        if "region" in kwargs:
+            kwargs["region"] = Region(*[float(v) for v in kwargs["region"]])
+        if "grid" in kwargs:
+            nx, ny = kwargs["grid"]
             kwargs["grid"] = GridSpec(int(nx), int(ny))
-        for key in ("f0", "repetitions", "include_beltrami", "scan_nominal",
-                    "beltrami_n", "beltrami_L", "beltrami_tol",
-                    "beltrami_max_iter"):
-            if key in d:
-                kwargs[key] = d[key]
         return cls(**kwargs)
 
 

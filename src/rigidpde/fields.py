@@ -218,8 +218,7 @@ class CoefficientField:
         return numeric_partials(self, x, y, h=h)
 
     def spectral(self, x, y):
-        """Closed-form (lambda, lambda_x, lambda_y) if the field knows
-        them, else None."""
+        """Closed-form lambda if the field knows it, else None."""
         return None
 
     def check_domain(self, x, y, pad: float = 0.0):
@@ -308,10 +307,7 @@ class DeltaField(CoefficientField):
         return CoefficientSample(alpha, beta, alpha_x, alpha_y, beta_x, beta_y)
 
     def spectral(self, x, y):
-        # lambda_x = -(a*inv) - i*(d_inv*inv)*(d_inv/b).  At eps = 0, b is
-        # d_inv itself, so lambda_x is -(lambda*inv) and lambda_x +
-        # lambda*lambda_y vanishes exactly in floating point.  inv, d_inv
-        # and b depend on x alone and stay rows.
+        # inv and b depend on x alone and stay rows
         y, inv = self._y_inv(x, y)
         d_inv = self.delta * inv
         # at eps = 0, b = d_inv: what sqrt(d_inv**2) gives unless it underflows
@@ -319,11 +315,7 @@ class DeltaField(CoefficientField):
         lam = np.empty(np.broadcast_shapes(inv.shape, y.shape), dtype=complex)
         np.multiply(y + 0.0, inv, out=lam.real)  # a, with y = -0.0 read as 0.0
         lam.imag = b
-        lam_x = np.empty_like(lam)
-        np.multiply(lam.real, -inv, out=lam_x.real)
-        lam_x.imag = -(d_inv * inv) * (d_inv / b)
-        lam_y = inv + 0j
-        return lam[()], lam_x[()], lam_y
+        return lam[()]
 
 
 class PerturbedDeltaField(DeltaField):

@@ -22,6 +22,7 @@ from .errors import StencilOutOfDomain
 from .fields import (
     CoefficientField,
     DeltaFamily,
+    DeltaField,
     GridSpec,
     Point,
     Region,
@@ -40,9 +41,9 @@ def characteristic_coordinate(fam: DeltaFamily, p):
     """
     x, y = (p.x, p.y) if isinstance(p, Point) else p
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    inv = 1.0 / (1.0 + x)
-    return (y - 1j * fam.delta * x) * inv
+    zeta = np.asarray(y, dtype=float) - 1j * fam.delta * x
+    zeta *= 1.0 / (1.0 + x)
+    return zeta
 
 
 # ---------------------------------------------------------------------------
@@ -274,16 +275,15 @@ def solve_characteristic(
     """
     xs, ys = grid_axes(region, grid)
     x, y = xs[None, :], ys[:, None]
-    inv = 1.0 / (1.0 + x)
-    zeta = y - 1j * fam.delta * x
-    zeta *= inv
+    zeta = characteristic_coordinate(fam, (x, y))
     w, df = f0.value_and_derivative(zeta, fam.delta)
     w = np.asarray(w, dtype=complex)
     df = np.asarray(df, dtype=complex)
     del zeta  # f0 may return it (or a view of it), so it is never overwritten
     # zeta_x = -lambda/(1+x), zeta_y = 1/(1+x): wx = df*(-(lambda*inv)),
     # wy = df*inv
-    wx = (y + 1j * fam.delta) * inv  # lambda
+    inv = 1.0 / (1.0 + x)
+    wx = DeltaField(fam).spectral(x, y)
     wx *= inv
     np.negative(wx, out=wx)
     np.multiply(df, wx, out=wx)
@@ -395,6 +395,7 @@ class ResidualReport:
     hx: float | None
     hy: float | None
     boundary_excluded: bool
+    relative: float | None  # fd mode only, see system_residual
 
     @property
     def max_residual(self) -> float:
@@ -408,12 +409,25 @@ class ResidualReport:
             "hx": self.hx,
             "hy": self.hy,
             "boundary_excluded": self.boundary_excluded,
+            "relative": self.relative,
         }
+
+
+# A central difference with step h of data of size |f| carries rounding of
+# about eps*|f|/h; a term counts as at least this many times that.
+_ROUNDING = 100.0 * np.finfo(float).eps
 
 
 def _max_abs(r) -> float:
     """max |r| without an |r| temporary; NaN propagates and -0.0 reads 0.0."""
     return abs(float(np.maximum(r.max(), -r.min())))
+
+
+def _relative(max_res: float, sizes) -> float:
+    """A residual maximum over the largest of the sizes of the terms it
+    cancels (NaN propagates); a residual that is exactly 0 is relative 0,
+    as its terms may all be 0."""
+    return max_res / float(np.max(sizes)) if max_res != 0.0 else 0.0
 
 
 def _grid_spacings(xs, ys):
@@ -464,6 +478,15 @@ def system_residual(
     mode="fd" uses central differences of the stored grids (a one-node
     rim per stride is excluded and recorded); mode="analytic" requires
     the field to carry closed-form partial grids.
+
+    In fd mode the report's ``relative`` is the larger of max|r1| and
+    max|r2|, each over the largest maximum of the terms it cancels: u_x
+    and alpha*v_y for r1, v_x, u_y and beta*v_y for r2.  Each term counts
+    as at least the rounding its central difference carries,
+    _ROUNDING*max|c|*max(|u|, |v|)/h for a term c*f_x with step h, so
+    data whose partials are all rounding noise (lpow:1 is u = 0, v = 1)
+    does not read as relative 1.  Adding a constant to u or v raises
+    that floor by ~1e-14 of the constant only.
     """
     xs, ys = uv.xs, uv.ys
     if mode == "analytic":
@@ -482,12 +505,22 @@ def system_residual(
         raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
     alpha, beta = field.values(xs[None, :], ys[:, None])
     r1 = alpha * vy
-    np.subtract(ux, r1, out=r1)
     r2 = beta * vy
+    if mode == "fd":
+        rounding = _ROUNDING * max(_max_abs(uv.u), _max_abs(uv.v)) / min(hx, hy)
+        sizes1 = [_max_abs(ux), _max_abs(r1), rounding * max(1.0, _max_abs(alpha))]
+        sizes2 = [_max_abs(vx), _max_abs(uy), _max_abs(r2),
+                  rounding * max(1.0, _max_abs(beta))]
+    np.subtract(ux, r1, out=r1)
     np.subtract(vx + uy, r2, out=r2)
+    max_r1, max_r2 = _max_abs(r1), _max_abs(r2)
+    relative = None
+    if mode == "fd":
+        relative = float(np.max([_relative(max_r1, sizes1),
+                                 _relative(max_r2, sizes2)]))
     return ResidualReport(
-        _max_abs(r1), _max_abs(r2), r1, r2,
-        mode, hx, hy, boundary_excluded=mode == "fd",
+        max_r1, max_r2, r1, r2,
+        mode, hx, hy, boundary_excluded=mode == "fd", relative=relative,
     )
 
 
@@ -519,6 +552,26 @@ def transport_residual(
     res = res * wy  # not in place: a field may hand out its own array
     res += wx
     return res
+
+
+def transport_relative(w: ComplexField, res, h: float | None = None) -> float:
+    """max|res| over the larger maximum of the two terms it cancels, for
+    ``res`` the fd transport residual of ``w`` (as transport_residual
+    returns it): w_x and lambda*w_y = res - w_x.
+
+    Only the central differences of w are taken again, not lambda.  Each
+    term counts as at least the rounding of a central difference of w,
+    _ROUNDING*max|w|/h, as in system_residual but without |lambda|: where
+    |lambda| > 1 this floor is low, which can turn a pass into a FAIL but
+    never the reverse.
+    """
+    hx, hy = _grid_spacings(w.xs, w.ys)
+    sx, sy = _stride_for(h, hx, hy)
+    wx, _ = _central_diffs(w.values, hx, hy, sx, sy)
+    lam_wy = res - wx
+    rounding = _ROUNDING * float(np.abs(w.values).max()) / min(sx * hx, sy * hy)
+    return _relative(float(np.abs(res).max()),
+                     [np.abs(wx).max(), np.abs(lam_wy).max(), rounding])
 
 
 # ---------------------------------------------------------------------------

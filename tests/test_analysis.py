@@ -362,3 +362,56 @@ def test_scan_report_invariants():
         assert 0.0 <= rep.inf_mu <= rep.sup_mu < 1.0
         assert rep.kappa >= 1.0
         assert rep.rigid == (max(rep.max_abs_A, rep.max_abs_B) < rep.rigidity_tol)
+
+
+def test_lambda_overflow_is_named_by_the_pointwise_api():
+    # 4*alpha overflows: disc and Im(lambda) read inf, |mu| NaN
+    cs = CoefficientSample(alpha=1e308, beta=0.0, alpha_x=0.0, alpha_y=0.0,
+                           beta_x=0.0, beta_y=0.0)
+    for derive in (discriminant, spectral_parameter, structure_sample):
+        with pytest.raises(NonFiniteCoefficient,
+                           match=r"^non-finite lambda = infj$") as excinfo:
+            derive(cs)
+        assert excinfo.value.name == "lambda"
+        assert (excinfo.value.x, excinfo.value.y) == (None, None)
+
+
+# --- the transport law G = lambda_x + lambda*lambda_y = A + lambda*B --------
+
+def test_burgers_residual_is_a_plus_lambda_b_for_the_family_fixture():
+    # G of DeltaField(family, eps) is i*eps/((1+x)*b), b = Im(lambda); it is
+    # exactly 0 at eps = 0, even where disc = (2b)**2 underflows.  Subnormal
+    # coordinates are left out: products of subnormals round on an absolute
+    # grid, so the sample's two combinations no longer cancel exactly there
+    # (|G| ~ 5e-324 at y = 2.2e-309)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    ulp = np.finfo(float).eps
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp.given(log_delta=st.floats(-12.0, 0.0),
+               log_eps=st.one_of(st.none(), st.floats(-6.0, -1.0)),
+               x=st.floats(REFERENCE_WINDOW.x_min, REFERENCE_WINDOW.x_max,
+                           allow_subnormal=False),
+               y=st.floats(REFERENCE_WINDOW.y_min, REFERENCE_WINDOW.y_max,
+                           allow_subnormal=False))
+    def check(log_delta, log_eps, x, y):
+        eps = 0.0 if log_eps is None else 10.0 ** log_eps
+        field = DeltaField(DeltaFamily(10.0 ** log_delta), eps)
+        g = burgers_residual(field, (x, y))
+        if eps == 0.0:
+            assert g == 0.0
+            return
+        b = np.sqrt((field.delta / (1.0 + x)) ** 2 + eps)
+        want = 1j * eps / ((1.0 + x) * b)
+        alpha = field.values(x, y)[0]
+        assert abs(g - want) <= 8.0 * ulp * (1.0 + alpha / eps) * abs(want)
+
+    check()
+
+
+def test_burgers_residual_is_zero_where_disc_underflows():
+    field = DeltaField(DeltaFamily(1e-200))
+    xs, ys = np.linspace(-0.5, 1.0, 31)[None, :], np.linspace(-1, 1, 21)[:, None]
+    assert np.all((2.0 * field.spectral(xs, ys).imag) ** 2 == 0.0)
+    assert np.all(burgers_residual(field, (xs, ys)) == 0.0)

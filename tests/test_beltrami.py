@@ -13,11 +13,12 @@ from rigidpde.beltrami import (
     contraction_estimate,
     delta_sweep,
     family_mu_on_torus,
+    smoothstep,
     solve_beltrami_neumann,
     truncation_bump,
 )
 from rigidpde.errors import DomainError
-from rigidpde.fields import DeltaFamily, Region
+from rigidpde.fields import REFERENCE_WINDOW, DeltaFamily, Region
 
 
 def periodic_dbar_dz(f, grid):
@@ -210,3 +211,73 @@ def test_trace_csv_format():
     assert lines[0] == "iter,residual"
     assert lines[1].startswith("1,")
     assert len(lines) == 1 + len(trace.residuals)
+
+
+# --- broadcast axes against the meshgrid formulas they replaced --------------
+# ref_family_mu and ref_multipliers are the masked-meshgrid coefficient and
+# the meshgrid Fourier symbols, kept as references the library must match
+# bit for bit (sign of zero included).
+
+def ref_family_mu(fam, grid, inner, margin):
+    X, Y = grid.meshgrid()
+
+    def ramp(v, lo, hi):
+        return smoothstep((v - (lo - margin)) / margin) * \
+            smoothstep(((hi + margin) - v) / margin)
+
+    window = ramp(X, inner.x_min, inner.x_max) * ramp(Y, inner.y_min, inner.y_max)
+    mu = np.zeros_like(X, dtype=complex)
+    mask = window > 0.0
+    lam = (Y[mask] + 1j * fam.delta) / (1.0 + X[mask])
+    mu[mask] = window[mask] * (lam - 1j) / (lam + 1j)
+    return mu
+
+
+def ref_multipliers(grid):
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.spacing)
+    xi1, xi2 = np.meshgrid(xi, xi)
+    xic = xi1 + 1j * xi2
+    nz = xic != 0
+    beurling = np.zeros_like(xic)
+    beurling[nz] = np.conj(xic[nz]) / xic[nz]
+    cauchy = np.zeros_like(xic)
+    cauchy[nz] = -2j / xic[nz]
+    return beurling, cauchy
+
+
+def assert_same_bits(got, want):
+    assert got.shape == want.shape
+    for g, w in ((got.real, want.real), (got.imag, want.imag)):
+        np.testing.assert_array_equal(
+            np.ascontiguousarray(g).view(np.uint64),
+            np.ascontiguousarray(w).view(np.uint64))
+
+
+@pytest.mark.parametrize("grid,margin", [(TorusGrid(256), 0.4),
+                                         (TorusGrid(64, L=3.0), 0.3)])
+@pytest.mark.parametrize("delta", [1.0, 0.1, 0.01, 1e-3])
+def test_family_mu_matches_the_masked_meshgrid(grid, margin, delta):
+    fam = DeltaFamily(delta)
+    assert_same_bits(family_mu_on_torus(fam, grid, margin=margin),
+                     ref_family_mu(fam, grid, REFERENCE_WINDOW, margin))
+
+
+def test_family_mu_with_an_empty_support_row_or_column():
+    # an inner window and ring narrower than the spacing between nodes
+    grid = TorusGrid(16)  # nodes at multiples of 0.5
+    inner = Region(0.1, 0.2, 0.1, 0.2)
+    mu = family_mu_on_torus(DeltaFamily(0.5), grid, inner=inner, margin=0.1)
+    assert np.all(mu == 0.0)
+
+
+@pytest.mark.parametrize("grid", [TorusGrid(16), TorusGrid(128, L=2.5)])
+def test_transforms_match_the_meshgrid_symbols(grid):
+    rng = np.random.default_rng(7)
+    f = (rng.standard_normal((grid.n, grid.n))
+         + 1j * rng.standard_normal((grid.n, grid.n)))
+    f[0, :3] = [0.0, -0.0, complex(-0.0, 0.0)]
+    beurling, cauchy = ref_multipliers(grid)
+    assert_same_bits(beurling_transform(f, grid),
+                     np.fft.ifft2(beurling * np.fft.fft2(f)))
+    assert_same_bits(cauchy_transform(f, grid),
+                     np.fft.ifft2(cauchy * np.fft.fft2(f)))

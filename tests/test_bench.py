@@ -1,3 +1,6 @@
+import dataclasses
+import json
+
 import pytest
 
 from rigidpde.bench import (
@@ -13,6 +16,7 @@ from rigidpde.fields import (
     DeltaFamily,
     DeltaField,
     GridSpec,
+    Region,
     aligned_gridspec,
 )
 
@@ -40,6 +44,18 @@ def test_config_dict_roundtrip():
     assert again.grid == cfg.grid
     assert again.f0 == "lpow:2"
     assert again.include_beltrami is True
+    # every field set away from its default survives the round trip,
+    # through JSON text too
+    cfg = BenchConfig(deltas=(0.5, 1e-3), region=Region(-0.25, 0.5, -0.5, 0.75),
+                      grid=GridSpec(33, 17), f0="exp:0.5+0.5i,0",
+                      repetitions=4, include_beltrami=True, scan_nominal=51,
+                      beltrami_n=64, beltrami_L=3.0, beltrami_tol=1e-8,
+                      beltrami_max_iter=17)
+    defaults = BenchConfig()
+    assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
+               for f in dataclasses.fields(BenchConfig))
+    assert BenchConfig.from_dict(cfg.to_dict()) == cfg
+    assert BenchConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
 
 
 def test_run_benchmark_rows_and_cross_module_kappa():

@@ -1,4 +1,5 @@
 import json
+import re
 
 import numpy as np
 import pytest
@@ -11,7 +12,12 @@ from rigidpde.fields import (
     Region,
     write_field_csv,
 )
-from rigidpde.transport import read_real_pair_csv, write_real_pair_csv
+from rigidpde.transport import (
+    read_complex_csv,
+    read_real_pair_csv,
+    write_complex_csv,
+    write_real_pair_csv,
+)
 
 TABLE_GOLDEN = """delta,inf_mu,sup_mu,kappa
 1,0,0.620174,18.195
@@ -185,6 +191,67 @@ def test_verify_constants_residual_zero(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", "--delta", "1", "--uv-csv", str(path))
     assert code == 0
     assert "max |r1| = 0" in out
+
+
+@pytest.mark.parametrize("delta,f0", [("1e-4", "exp:0.5-0.5i,0"),
+                                      ("1", "lpow:3"), ("0.1", "lpow:1")])
+def test_verify_passes_exact_solutions_by_relative_residual(
+        tmp_path, capsys, delta, f0):
+    # max |r1| is 16.7 at delta = 1e-4 and 0.081 at delta = 1: an absolute
+    # 0.05 rejects both, while each is ~4e-4 of the terms it cancels.
+    # lpow:1 (u = 0, v = 1) has partials of rounding size only, which read
+    # ~4e-3 of their rounding floor
+    base = tmp_path / "s"
+    assert main(["solve", "--delta", delta, "--f0", f0, "--out", str(base)]) == 0
+    capsys.readouterr()
+    for kind in ("uv", "w"):
+        code, out, _ = run(capsys, "verify", "--delta", delta,
+                           f"--{kind}-csv", f"{base}_{kind}.csv")
+        assert code == 0, out
+        rel = [line for line in out.splitlines()
+               if line.startswith("relative residual = ")]
+        assert len(rel) == 1 and float(rel[0].split()[3]) < 1e-2
+        # every "max |...| = value" line is a residual maximum
+        maxima = re.findall(r"^max \|.*\| = (\S+)$", out, re.M)
+        assert len(maxima) == (2 if kind == "uv" else 1)
+        assert out.splitlines()[-1] == "threshold 0.05: pass"
+
+
+def test_verify_threshold_bounds_the_relative_residual(tmp_path, capsys):
+    base = tmp_path / "s"
+    assert main(["solve", "--delta", "1e-4", "--f0", "exp:0.5-0.5i,0",
+                 "--out", str(base)]) == 0
+    capsys.readouterr()
+    _, out, _ = run(capsys, "verify", "--delta", "1e-4", "--uv-csv",
+                    f"{base}_uv.csv")
+    assert "max |r1| = 16.7361" in out
+    rel = float(re.search(r"^relative residual = (\S+) ", out, re.M).group(1))
+    for threshold, code, verdict in ((rel / 2, 2, "FAIL"), (rel * 2, 0, "pass")):
+        got, out, _ = run(capsys, "verify", "--delta", "1e-4", "--uv-csv",
+                          f"{base}_uv.csv", "--threshold", repr(threshold))
+        assert got == code
+        assert out.splitlines()[-1] == f"threshold {threshold:.6g}: {verdict}"
+
+
+def test_verify_rejects_a_shifted_non_solution(tmp_path, capsys):
+    # criterion 10's v := 0 file, with v := 1000 instead: the shift leaves
+    # r1 = u_x, so it must not hide behind the size of v
+    base = tmp_path / "lp2"
+    assert main(["solve", "--delta", "1", "--f0", "lpow:2", "--out", str(base)]) == 0
+    capsys.readouterr()
+    uv = read_real_pair_csv(f"{base}_uv.csv")
+    uv.v[:] = 1000.0
+    write_real_pair_csv(uv, tmp_path / "bad_uv.csv")
+    code, out, _ = run(capsys, "verify", "--delta", "1", "--uv-csv",
+                       str(tmp_path / "bad_uv.csv"))
+    assert code == 2 and out.splitlines()[-1] == "threshold 0.05: FAIL"
+    # conj(w) + 1e6 fails the transport law everywhere
+    w = read_complex_csv(f"{base}_w.csv")
+    w.values[:] = np.conj(w.values) + 1e6
+    write_complex_csv(w, tmp_path / "bad_w.csv")
+    code, out, _ = run(capsys, "verify", "--delta", "1", "--w-csv",
+                       str(tmp_path / "bad_w.csv"))
+    assert code == 2 and out.splitlines()[-1] == "threshold 0.05: FAIL"
 
 
 def test_verify_malformed_csv_exits_1(tmp_path, capsys):

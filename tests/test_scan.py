@@ -57,9 +57,8 @@ def reference_scan(field, region, grid, rigidity_tol=None, chunk_rows=128):
     for start in range(0, ys.size, chunk_rows):
         X, Y = np.meshgrid(xs, ys[start:start + chunk_rows])
         cs = field.sample(X, Y)
-        sp = field.spectral(X, Y)
-        if sp is not None:
-            lam = sp[0]
+        lam = field.spectral(X, Y)
+        if lam is not None:
             b = lam.imag
             if np.any(b <= 0.0):
                 raise InvalidBranch("Im(lambda) <= 0")
@@ -272,11 +271,11 @@ def test_closed_form_lambda_checks_name_the_node():
             self.lam_at_node = lam_at_node
 
         def spectral(self, x, y):
-            lam, lam_x, lam_y = super().spectral(x, y)
+            lam = super().spectral(x, y)
             lam = np.array(np.broadcast_to(lam, np.broadcast(x, y).shape))
             lam[(np.broadcast_to(x, lam.shape) == 0.25)
                 & (np.broadcast_to(y, lam.shape) == 0.5)] = self.lam_at_node
-            return lam, lam_x, lam_y
+            return lam
 
     grid = GridSpec(7, 9)  # nodes x = -0.5, -0.25, ..., 1; y = -1, -0.75, ...
     with pytest.raises(NonFiniteCoefficient,

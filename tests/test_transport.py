@@ -31,6 +31,7 @@ from rigidpde.transport import (
     solve_characteristic,
     system_residual,
     to_real_pair,
+    transport_relative,
     transport_residual,
     write_complex_csv,
     write_field_header,
@@ -341,6 +342,87 @@ def test_transport_residual_constant_is_zero():
     assert np.all(transport_residual(DeltaField(fam), w, mode="fd") == 0.0)
 
 
+def _transport_relative(field, w):
+    return transport_relative(w, transport_residual(field, w))
+
+
+def test_relative_residuals_divide_by_the_cancelled_terms():
+    fam = DeltaFamily(1e-4)
+    field = DeltaField(fam)
+    w = solve_characteristic(fam, parse_f0("exp:0.5-0.5i,0"), K, GridSpec(65, 65))
+    uv = to_real_pair(fam, w)
+    rep = system_residual(field, uv, mode="fd")
+    ux, uy = np.gradient(uv.u, uv.ys, uv.xs)[::-1]
+    vx, vy = np.gradient(uv.v, uv.ys, uv.xs)[::-1]
+    alpha, beta = field.values(uv.xs[None, :], uv.ys[:, None])
+    inner = (slice(1, -1), slice(1, -1))
+    scale_r1 = max(np.abs(ux[inner]).max(), np.abs((alpha * vy)[inner]).max())
+    scale_r2 = max(np.abs(vx[inner]).max(), np.abs(uy[inner]).max(),
+                   np.abs((beta * vy)[inner]).max())
+    assert rep.max_r1 > 1.0 and rep.relative < 1e-2
+    assert rep.relative == pytest.approx(max(rep.max_r1 / scale_r1,
+                                             rep.max_r2 / scale_r2), rel=1e-12)
+    assert system_residual(field, uv, mode="analytic").relative is None
+    res = transport_residual(field, w)
+    wx = np.gradient(w.values, w.xs, axis=1)[inner]
+    assert transport_relative(w, res) == pytest.approx(
+        np.abs(res).max() / max(np.abs(wx).max(), np.abs(res - wx).max()),
+        rel=1e-12)
+    assert 0.0 < transport_relative(w, res) < 1e-2
+    # u := 0 leaves r1 = -alpha*v_y, and v := 0 leaves r1 = u_x: all of
+    # the term each cancels, so the relative residual is 1
+    u = uv.u.copy()
+    uv.u[:] = 0.0
+    assert system_residual(field, uv).relative == 1.0
+    uv.u[:], uv.v[:] = u, 0.0
+    assert system_residual(field, uv).relative == 1.0
+    # u := 0, v := x leaves r1 = 0 and r2 = v_x
+    uv.u[:], uv.v[:] = 0.0, uv.xs[None, :]
+    assert system_residual(field, uv).relative == 1.0
+    # w := y leaves w_x + lambda*w_y = lambda*w_y
+    y_only = ComplexField(w.xs, w.ys, np.broadcast_to(w.ys[:, None] + 0j,
+                                                      w.values.shape))
+    assert _transport_relative(field, y_only) == 1.0
+    # lpow:1 is u = 0, v = 1: its partials are all rounding noise, which
+    # the rounding floor of each term keeps from reading as relative ~1
+    fam = DeltaFamily(0.1)
+    w1 = solve_characteristic(fam, parse_f0("lpow:1"), K, GridSpec(257, 257))
+    rep1 = system_residual(DeltaField(fam), to_real_pair(fam, w1))
+    assert 0.0 < rep1.max_residual < 1e-12 and rep1.relative < 1e-2
+    # an exact zero residual is relative 0, even when its terms are all 0
+    for u0 in (2.5, 0.0):
+        const = RealPairField(uv.xs, uv.ys, np.full_like(uv.u, u0),
+                              np.zeros_like(uv.v))
+        assert system_residual(field, const).relative == 0.0
+    for w0 in (1.0 - 2.0j, 0.0):
+        flat = ComplexField(w.xs, w.ys, np.full_like(w.values, w0))
+        assert _transport_relative(field, flat) == 0.0
+    # a NaN in the data makes the relative residual NaN, which no
+    # threshold passes
+    uv.u[5, 5] = np.nan
+    assert np.isnan(system_residual(field, uv).relative)
+    flat.values[5, 5] = np.nan
+    assert np.isnan(_transport_relative(field, flat))
+
+
+@pytest.mark.parametrize("shift", [1e3, 1e9])
+def test_relative_residuals_ignore_a_constant_shift(shift):
+    # adding a constant leaves every residual and every cancelled term
+    # unchanged, so a non-solution stays relative 1-ish however large it is
+    fam = DeltaFamily(1.0)
+    field = DeltaField(fam)
+    w = solve_characteristic(fam, parse_f0("lpow:2"), K, GridSpec(257, 257))
+    uv = to_real_pair(fam, w)
+    for u, v in ((uv.u, np.zeros_like(uv.v)), (uv.u, np.full_like(uv.v, shift)),
+                 (uv.u + shift, np.zeros_like(uv.v))):
+        bad = RealPairField(uv.xs, uv.ys, u, v)
+        assert system_residual(field, bad).relative > 0.5
+    # conj(lambda**2) fails the transport law at every node
+    for c in (0.0, shift, 1j * shift):
+        bad = ComplexField(w.xs, w.ys, np.conj(w.values) + c)
+        assert _transport_relative(field, bad) > 0.5
+
+
 def test_transport_residual_detects_non_solution():
     # conj(lambda) fails transport: residual = 2*i*delta/(1+x)**2
     fam = DeltaFamily(1.0)
@@ -512,7 +594,7 @@ def check_against_reference(fam, f0, region, grid):
         assert_ulps(res, wx + ref_lambda(fam, xi, yi) * wy,
                     scale=np.abs(wx).max())
         res = transport_residual(field, w)
-        lam = field.spectral(*np.meshgrid(xi, yi))[0]
+        lam = field.spectral(*np.meshgrid(xi, yi))
         assert_ulps(res, wx + lam * wy, scale=np.abs(wx).max())
 
 
