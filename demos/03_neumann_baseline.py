@@ -36,7 +36,7 @@ f -= f.mean()
 sf = beurling_transform(f, grid)
 print(f"isometry: ||Sf||/||f|| - 1 = {np.linalg.norm(sf)/np.linalg.norm(f)-1:.2e}")
 
-X, Y = grid.meshgrid()
+X, Y = np.meshgrid(*grid.axes())
 g = np.exp(-(X**2 + Y**2) / 1.28)
 h = grid.spacing
 ddx = lambda v: (np.roll(v, -1, 1) - np.roll(v, 1, 1)) / (2 * h)

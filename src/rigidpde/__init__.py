@@ -34,7 +34,6 @@ from .fields import (
     Region,
     aligned_gridspec,
     grid_axes,
-    grid_points,
     numeric_partials,
 )
 from .analysis import (

@@ -14,12 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DegenerateStructure,
-    InvalidBranch,
-    NonFiniteCoefficient,
-    NotElliptic,
-)
+from .errors import DegenerateStructure, InvalidBranch, NotElliptic
 from .fields import (
     REFERENCE_WINDOW,
     CoefficientField,
@@ -29,6 +24,8 @@ from .fields import (
     GridSpec,
     Point,
     Region,
+    _node,
+    _raise_non_finite,
     aligned_gridspec,
     central_stencil,
     grid_axes,
@@ -251,10 +248,9 @@ class RegionScanReport:
 
     CSV_HEADER = "delta,inf_mu,sup_mu,kappa"
 
-    def to_csv_row(self, digits: int = 6) -> str:
-        d = "NA" if self.delta is None else f"{self.delta:.{digits}g}"
-        return (f"{d},{self.inf_mu:.{digits}g},{self.sup_mu:.{digits}g},"
-                f"{self.kappa:.{digits}g}")
+    def to_csv_row(self) -> str:
+        d = "NA" if self.delta is None else f"{self.delta:.6g}"
+        return f"{d},{self.inf_mu:.6g},{self.sup_mu:.6g},{self.kappa:.6g}"
 
 
 # A scan works through the grid in row chunks of about this many nodes, so
@@ -268,7 +264,6 @@ def scan_region(
     region: Region,
     grid: GridSpec,
     rigidity_tol: float | None = None,
-    chunk_rows: int | None = None,
 ) -> RegionScanReport:
     """Grid scan of a coefficient field: inf/sup of |mu|, the condition
     number from the grid supremum, max |A| and |B|, and the rigidity
@@ -281,30 +276,26 @@ def scan_region(
     NaN or infinite there.
 
     The scan samples the field on the broadcast axes ``xs[None, :]`` and
-    ``ys[a:b, None]`` of one chunk of ``chunk_rows`` grid rows at a time.
-    By default a chunk holds as many rows as fit in SCAN_CHUNK_NODES nodes
-    (at least one), so its temporaries stay cache-sized at any grid width;
-    |mu| and (A, B) are formed in buffers reused from chunk to chunk.  The
-    min/max reductions are exact and order-independent, so the report
-    does not depend on ``chunk_rows``.
+    ``ys[a:b, None]`` of one chunk of grid rows at a time.  A chunk holds
+    as many rows as fit in SCAN_CHUNK_NODES nodes (at least one), so its
+    temporaries stay cache-sized at any grid width; |mu| and (A, B) are
+    formed in buffers reused from chunk to chunk.  The min/max reductions
+    are exact and order-independent, so the report does not depend on the
+    chunk size.
     """
     if rigidity_tol is None:
         rigidity_tol = (RIGIDITY_TOL_CLOSED_FORM if field.closed_form_partials
                         else RIGIDITY_TOL_FINITE_DIFF)
     xs, ys = grid_axes(region, grid)
-    if chunk_rows is None:
-        chunk_rows = max(1, SCAN_CHUNK_NODES // xs.size)
-    if chunk_rows < 1:
-        raise ValueError(f"chunk_rows must be >= 1, got {chunk_rows}")
+    rows = min(max(1, SCAN_CHUNK_NODES // xs.size), ys.size)  # per chunk
     x = xs[None, :]
-    rows = min(chunk_rows, ys.size)
     real = np.empty((6, rows, xs.size))
     cplx = np.empty((3, rows, xs.size), dtype=complex)
     # Running maxima of -|mu|, |mu|, A, -A, B, -B; np.maximum keeps NaN.
     ext = np.full(6, -np.inf)
     with np.errstate(all="ignore"):  # non-finite values raise below
-        for start in range(0, ys.size, chunk_rows):
-            y = ys[start:start + chunk_rows, None]
+        for start in range(0, ys.size, rows):
+            y = ys[start:start + rows, None]
             n = y.shape[0]
             abs_mu, a, b, named = _scan_chunk(field, x, y, real[:, :n],
                                               cplx[:, :n])
@@ -339,9 +330,7 @@ def _scan_chunk(field: CoefficientField, x, y, real, cplx):
     """
     cs = field.sample(x, y)
     lam = field.spectral(x, y)
-    named = [("alpha", cs.alpha), ("beta", cs.beta), ("alpha_x", cs.alpha_x),
-             ("alpha_y", cs.alpha_y), ("beta_x", cs.beta_x),
-             ("beta_y", cs.beta_y)]
+    named = list(vars(cs).items())  # alpha, beta, then the four partials
     disc, abs_mu = real[0], real[1]
     if lam is not None:
         b = lam.imag
@@ -367,34 +356,6 @@ def _scan_chunk(field: CoefficientField, x, y, real, cplx):
                                   ("B", b)]
 
 
-def _raise_non_finite(x, y, named):
-    """Raise NonFiniteCoefficient at the first node (row-major over the
-    broadcast shape, then in the order of ``named``) where a named
-    quantity is NaN or infinite; return when there is none.  ``x`` and
-    ``y`` locate the nodes (None: unknown)."""
-    shape = np.broadcast_shapes(np.shape(x), np.shape(y),
-                                *(np.shape(v) for _, v in named))
-    first = None
-    for name, v in named:
-        v = np.broadcast_to(v, shape)
-        bad = ~np.isfinite(v)
-        k = int(np.argmax(bad))
-        if bad.flat[k] and (first is None or k < first[0]):
-            first = (k, name, v.flat[k].item())
-    if first is not None:
-        k, name, value = first
-        raise NonFiniteCoefficient(name, value, *_node(x, y, k, shape))
-
-
-def _node(x, y, k, shape):
-    """(x, y) of the k-th node (row-major) of the broadcast shape, or
-    (None, None) when the nodes are not located."""
-    if x is None:
-        return None, None
-    return (float(np.broadcast_to(x, shape).flat[k]),
-            float(np.broadcast_to(y, shape).flat[k]))
-
-
 # The delta values of the built-in degeneration table.
 TABLE_DELTAS = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
 
@@ -402,13 +363,11 @@ TABLE_DELTAS = (1.0, 1e-1, 1e-2, 1e-3, 1e-4)
 def degeneration_table(
     nominal_nx: int = 2001,
     nominal_ny: int = 2001,
-    region: Region | None = None,
 ) -> list[RegionScanReport]:
     """Scan the built-in family over the reference window for each delta in
     TABLE_DELTAS on an axis-aligned grid near the nominal resolution."""
-    region = REFERENCE_WINDOW if region is None else region
-    grid = aligned_gridspec(region, nominal_nx, nominal_ny)
+    grid = aligned_gridspec(REFERENCE_WINDOW, nominal_nx, nominal_ny)
     return [
-        scan_region(DeltaField(DeltaFamily(d)), region, grid)
+        scan_region(DeltaField(DeltaFamily(d)), REFERENCE_WINDOW, grid)
         for d in TABLE_DELTAS
     ]

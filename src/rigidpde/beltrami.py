@@ -25,8 +25,9 @@ from .fields import REFERENCE_WINDOW, DeltaFamily, DeltaField, Region
 # exposes the blow-up of the iteration count while keeping sweeps cheap.
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 300
-DEFAULT_DIVERGENCE_FACTOR = 1e3
 DEFAULT_TRUNCATION_MARGIN = 0.4
+DIVERGENCE_FACTOR = 1e3  # diverged: a difference above this times the first
+NEAR_DIVERGENT = 0.9     # contraction estimates from here to 1
 
 VERDICT_CONVERGED = "converged"
 VERDICT_DIVERGED = "diverged"
@@ -54,10 +55,6 @@ class TorusGrid:
     def axes(self):
         a = -self.L + self.spacing * np.arange(self.n)
         return a, a
-
-    def meshgrid(self):
-        ax, ay = self.axes()
-        return np.meshgrid(ax, ay)
 
 
 def _multipliers(grid: TorusGrid):
@@ -106,13 +103,6 @@ def _ramp(v, lo, hi, margin):
         smoothstep(((hi + margin) - v) / margin)
 
 
-def truncation_bump(X, Y, inner: Region, margin: float):
-    """Separable C^2 window: 1 on the inner rectangle, 0 outside a margin
-    ring of the given width."""
-    return (_ramp(X, inner.x_min, inner.x_max, margin)
-            * _ramp(Y, inner.y_min, inner.y_max, margin))
-
-
 def family_mu_on_torus(
     fam: DeltaFamily,
     grid: TorusGrid,
@@ -152,7 +142,6 @@ class BeltramiProblem:
     grid: TorusGrid
     tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
-    divergence_factor: float = DEFAULT_DIVERGENCE_FACTOR
 
     def __post_init__(self):
         self.mu = np.asarray(self.mu, dtype=complex)
@@ -166,8 +155,8 @@ class BeltramiProblem:
             raise ValueError(
                 f"mu is not finite at node (i, j) = ({i}, {j}): {self.mu[i, j]}"
             )
-        if not (self.tol > 0 and self.divergence_factor > 1 and self.max_iter >= 0):
-            raise ValueError("need tol > 0, divergence_factor > 1, max_iter >= 0")
+        if not (self.tol > 0 and self.max_iter >= 0):
+            raise ValueError("need tol > 0 and max_iter >= 0")
 
     @property
     def sup_mu(self) -> float:
@@ -197,7 +186,7 @@ def solve_beltrami_neumann(problem: BeltramiProblem):
     """Neumann iteration phi <- mu*(1 + S(phi)) from phi = 0.
 
     Stops when the sup-norm of successive differences falls below tol
-    (converged), exceeds divergence_factor times the first difference
+    (converged), exceeds DIVERGENCE_FACTOR times the first difference
     (diverged), or the iteration budget runs out.  On any verdict the
     reconstruction w = z + C(phi) and the full trace are returned.
     """
@@ -217,7 +206,7 @@ def solve_beltrami_neumann(problem: BeltramiProblem):
         if r < problem.tol:
             trace.verdict = VERDICT_CONVERGED
             break
-        if r > problem.divergence_factor * first:
+        if r > DIVERGENCE_FACTOR * first:
             trace.verdict = VERDICT_DIVERGED
             break
     else:
@@ -238,32 +227,24 @@ def contraction_estimate(sup_mu: float, p: float = 2.0) -> float:
     return float(sup_mu) * (p - 1.0)
 
 
-def classify_contraction(estimate: float, near: float = 0.9) -> str:
-    """Label a contraction estimate: contractive, near-divergent (within
-    10% of 1 by default), or divergent."""
+def classify_contraction(estimate: float) -> str:
+    """Label a contraction estimate: contractive, near-divergent (at least
+    NEAR_DIVERGENT), or divergent."""
     if estimate >= 1.0:
         return "divergent"
-    if estimate >= near:
+    if estimate >= NEAR_DIVERGENT:
         return "near-divergent"
     return "contractive"
 
 
-def delta_sweep(
-    deltas,
-    grid: TorusGrid | None = None,
-    inner: Region = REFERENCE_WINDOW,
-    margin: float = DEFAULT_TRUNCATION_MARGIN,
-    tol: float = DEFAULT_TOL,
-    max_iter: int = DEFAULT_MAX_ITER,
-):
-    """Run the Neumann baseline for several deltas with a fixed grid,
-    truncation and tolerance; returns {delta: IterationTrace}."""
+def delta_sweep(deltas, grid: TorusGrid | None = None):
+    """Run the Neumann baseline for several deltas with a fixed grid and
+    the default truncation, tolerance and budget; returns
+    {delta: IterationTrace}."""
     grid = grid or TorusGrid(256)
     out = {}
     for d in deltas:
-        mu = family_mu_on_torus(DeltaFamily(d), grid, inner=inner, margin=margin)
-        _, trace = solve_beltrami_neumann(
-            BeltramiProblem(mu, grid, tol=tol, max_iter=max_iter)
-        )
+        mu = family_mu_on_torus(DeltaFamily(d), grid)
+        _, trace = solve_beltrami_neumann(BeltramiProblem(mu, grid))
         out[d] = trace
     return out

@@ -10,8 +10,9 @@ characteristic columns and the exploding condition number.
 from __future__ import annotations
 
 import json
+import statistics
 import time
-from dataclasses import dataclass, field as dc_field, fields
+from dataclasses import asdict, dataclass, field as dc_field, fields
 
 from . import beltrami as bl
 from .analysis import scan_region
@@ -82,17 +83,6 @@ class BenchRow:
     beltrami_verdict: str | None = None
     error: str | None = None
 
-    def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "kappa": self.kappa,
-            "char_time_s": self.char_time_s,
-            "char_residual": self.char_residual,
-            "beltrami_iters": self.beltrami_iters,
-            "beltrami_verdict": self.beltrami_verdict,
-            "error": self.error,
-        }
-
 
 @dataclass
 class BenchReport:
@@ -100,22 +90,10 @@ class BenchReport:
     rows: list = dc_field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"config": self.config, "rows": [r.to_dict() for r in self.rows]}
+        return {"config": self.config, "rows": [asdict(r) for r in self.rows]}
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "BenchReport":
-        d = json.loads(text)
-        return cls(config=d["config"], rows=[BenchRow(**r) for r in d["rows"]])
-
-
-def _median(values) -> float:
-    s = sorted(values)
-    n = len(s)
-    mid = n // 2
-    return s[mid] if n % 2 else 0.5 * (s[mid - 1] + s[mid])
 
 
 def _timed_solves(cfg: BenchConfig, f0: InitialData, deltas):
@@ -135,7 +113,7 @@ def _timed_solves(cfg: BenchConfig, f0: InitialData, deltas):
             t0 = time.perf_counter()
             last[d] = solve_characteristic(fams[d], f0, cfg.region, cfg.grid)
             times[d].append(time.perf_counter() - t0)
-    return {d: (_median(times[d]), last[d]) for d in deltas}
+    return {d: (statistics.median(times[d]), last[d]) for d in deltas}
 
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
@@ -178,11 +156,11 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     return report
 
 
-def _cell(value, digits=6):
+def _cell(value):
     if value is None:
         return "NA"
     if isinstance(value, float):
-        return f"{value:.{digits}g}"
+        return f"{value:.6g}"
     return str(value)
 
 

@@ -41,6 +41,7 @@ from .analysis import (
 )
 from .errors import NotElliptic, RigidPdeError
 from .fields import (
+    REFERENCE_WINDOW,
     DeltaFamily,
     DeltaField,
     GridSpec,
@@ -69,6 +70,7 @@ DEFAULT_VERIFY_THRESHOLD = 0.05  # relative: fd truncation of exact
                                  # solutions measures up to 2.5e-2 at 65**2
                                  # and 5.2e-3 at 257**2; corrupted data
                                  # lands at O(1)
+_WINDOW = ",".join(f"{v:g}" for v in REFERENCE_WINDOW.as_tuple())
 
 _NUMBERISH = re.compile(r"^-[0-9.][0-9.,eE+-]*$")
 _VALUE_OPTS = {"--region", "--grid", "--deltas", "--delta", "--L", "--tol",
@@ -235,15 +237,17 @@ def cmd_bench(args) -> int:
     if args.config:
         with open(args.config) as fh:
             cfg = bench_mod.BenchConfig.from_dict(json.load(fh))
-    else:
+    else:  # flags given override the BenchConfig defaults
+        given = {"f0": args.f0, "repetitions": args.repetitions,
+                 "include_beltrami": args.beltrami}
+        if args.deltas is not None:
+            given["deltas"] = tuple(float(d) for d in args.deltas.split(","))
+        if args.region is not None:
+            given["region"] = _parse_region(args.region)
+        if args.grid is not None:
+            given["grid"] = _parse_grid(args.grid)
         cfg = bench_mod.BenchConfig(
-            deltas=tuple(float(d) for d in args.deltas.split(",")),
-            region=_parse_region(args.region),
-            grid=_parse_grid(args.grid),
-            f0=args.f0,
-            repetitions=args.repetitions,
-            include_beltrami=args.beltrami,
-        )
+            **{k: v for k, v in given.items() if v is not None})
     report = bench_mod.run_benchmark(cfg)
     _emit(bench_mod.emit_report(report, "json" if args.json else "csv"),
           args.out)
@@ -262,6 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
+    nominal = f"{DEFAULT_SCAN_NOMINAL},{DEFAULT_SCAN_NOMINAL}"
 
     def add_source(p):
         p.add_argument("--delta", type=float, default=None,
@@ -271,9 +276,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="scan a field over a rectangle")
     add_source(p)
-    p.add_argument("--region", default="-0.5,1,-1,1",
+    p.add_argument("--region", default=_WINDOW,
                    help="x_min,x_max,y_min,y_max (default: reference window)")
-    p.add_argument("--grid", default="2001,2001", help="nx,ny scan resolution")
+    p.add_argument("--grid", default=nominal, help="nx,ny scan resolution")
     p.add_argument("--align", action="store_true", default=True,
                    help="snap node counts so the coordinate axes are nodes")
     p.add_argument("--no-align", dest="align", action="store_false")
@@ -288,7 +293,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table1",
                        help="degeneration table of the built-in family")
-    p.add_argument("--grid", default=f"{DEFAULT_SCAN_NOMINAL},{DEFAULT_SCAN_NOMINAL}",
+    p.add_argument("--grid", default=nominal,
                    help="nominal nx,ny (aligned per axis)")
     p.add_argument("--json", dest="json", action="store_true")
     p.add_argument("--csv", dest="json", action="store_false")
@@ -298,7 +303,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve", help="characteristic solve on a grid")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--f0", required=True, help=f"initial profile; {F0_GRAMMAR}")
-    p.add_argument("--region", default="-0.5,1,-1,1")
+    p.add_argument("--region", default=_WINDOW)
     p.add_argument("--grid", default=f"{DEFAULT_SOLVE_GRID[0]},{DEFAULT_SOLVE_GRID[1]}")
     p.add_argument("--out", required=True, help="output basename")
     p.set_defaults(func=cmd_solve)
@@ -325,12 +330,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bench", help="delta sweep cost report")
     p.add_argument("--config", default=None, help="JSON config file")
-    p.add_argument("--deltas", default="1,1e-2,1e-4")
-    p.add_argument("--region", default="-0.5,1,-1,1")
-    p.add_argument("--grid", default="512,512")
-    p.add_argument("--f0", default="exp:1,0")
-    p.add_argument("--repetitions", type=int, default=5)
-    p.add_argument("--beltrami", action="store_true",
+    # unset flags (None) keep the BenchConfig defaults
+    for opt in ("--deltas", "--region", "--grid", "--f0"):
+        p.add_argument(opt)
+    p.add_argument("--repetitions", type=int)
+    p.add_argument("--beltrami", action="store_true", default=None,
                    help="include the Neumann baseline columns")
     p.add_argument("--no-beltrami", dest="beltrami", action="store_false")
     p.add_argument("--json", dest="json", action="store_true")

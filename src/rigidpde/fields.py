@@ -28,7 +28,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, StencilOutOfDomain
+from .errors import DomainError, NonFiniteCoefficient, StencilOutOfDomain
 
 # Coefficients blow up like (1+x)**-3 as x -> -1; keep a hard guard margin
 # so 1/(1+x) powers stay finite in double precision.
@@ -152,14 +152,6 @@ def grid_axes(region: Region, grid: GridSpec):
     xs = _axis_nodes(region.x_min, region.x_max, grid.nx)
     ys = _axis_nodes(region.y_min, region.y_max, grid.ny)
     return xs, ys
-
-
-def grid_points(region: Region, grid: GridSpec) -> np.ndarray:
-    """All grid nodes as an (nx*ny, 2) array, row-major with x varying
-    fastest; the first point is (x_min, y_min)."""
-    xs, ys = grid_axes(region, grid)
-    X, Y = np.meshgrid(xs, ys)
-    return np.column_stack([X.ravel(), Y.ravel()])
 
 
 def _aligned_count(lo: float, hi: float, n: int) -> int:
@@ -508,20 +500,56 @@ def numeric_partials(field: CoefficientField, x, y=None, h=None) -> CoefficientS
     """Central-difference partials of a coefficient field (O(h**2)); the
     alpha, beta entries are exact samples at the center point.
 
-    Accepts a Point or separate x, y scalars/arrays.
+    Accepts a Point or separate x, y scalars/arrays.  Raises
+    NonFiniteCoefficient naming the quantity and the first node where
+    alpha, beta or a partial is NaN or infinite.
     """
     if isinstance(x, Point):
         x, y = x.x, x.y
     two_h, (alpha, beta), feet = central_stencil(field.values, x, y, h)
     (a_e, b_e), (a_w, b_w), (a_n, b_n), (a_s, b_s) = feet
-    return CoefficientSample(
-        alpha=alpha,
-        beta=beta,
-        alpha_x=(a_e - a_w) / two_h,
-        alpha_y=(a_n - a_s) / two_h,
-        beta_x=(b_e - b_w) / two_h,
-        beta_y=(b_n - b_s) / two_h,
-    )
+    with np.errstate(all="ignore"):  # a non-finite partial raises below
+        cs = CoefficientSample(
+            alpha=alpha,
+            beta=beta,
+            alpha_x=(a_e - a_w) / two_h,
+            alpha_y=(a_n - a_s) / two_h,
+            beta_x=(b_e - b_w) / two_h,
+            beta_y=(b_n - b_s) / two_h,
+        )
+    named = list(vars(cs).items())
+    # max and min propagate NaN and cannot overflow, unlike a sum
+    if not np.isfinite([f(v) for _, v in named for f in (np.max, np.min)]).all():
+        _raise_non_finite(x, y, named)
+    return cs
+
+
+def _raise_non_finite(x, y, named):
+    """Raise NonFiniteCoefficient at the first node (row-major over the
+    broadcast shape, then in the order of ``named``) where a named
+    quantity is NaN or infinite; return when there is none.  ``x`` and
+    ``y`` locate the nodes (None: unknown)."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y),
+                                *(np.shape(v) for _, v in named))
+    first = None
+    for name, v in named:
+        v = np.broadcast_to(v, shape)
+        bad = ~np.isfinite(v)
+        k = int(np.argmax(bad))
+        if bad.flat[k] and (first is None or k < first[0]):
+            first = (k, name, v.flat[k].item())
+    if first is not None:
+        k, name, value = first
+        raise NonFiniteCoefficient(name, value, *_node(x, y, k, shape))
+
+
+def _node(x, y, k, shape):
+    """(x, y) of the k-th node (row-major) of the broadcast shape, or
+    (None, None) when the nodes are not located."""
+    if x is None:
+        return None, None
+    return (float(np.broadcast_to(x, shape).flat[k]),
+            float(np.broadcast_to(y, shape).flat[k]))
 
 
 def write_field_csv(field: CoefficientField, region: Region, grid: GridSpec, path):

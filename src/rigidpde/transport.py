@@ -53,16 +53,9 @@ def characteristic_coordinate(fam: DeltaFamily, p):
 class InitialData:
     """An entire initial profile f0 for the transport problem."""
 
-    def evaluate(self, z, delta: float):
-        raise NotImplementedError
-
-    def derivative(self, z, delta: float):
-        raise NotImplementedError
-
     def value_and_derivative(self, z, delta: float):
-        """(f0(z), f0'(z)); profiles whose derivative reuses the value
-        override this to evaluate once."""
-        return self.evaluate(z, delta), self.derivative(z, delta)
+        """(f0(z), f0'(z)) on an array of points z."""
+        raise NotImplementedError
 
     def descriptor(self) -> str:
         raise NotImplementedError
@@ -81,16 +74,13 @@ class Polynomial(InitialData):
             self, "coefficients", tuple(complex(c) for c in self.coefficients)
         )
 
-    def evaluate(self, z, delta):
-        return np.polynomial.polynomial.polyval(np.asarray(z, dtype=complex),
-                                                self.coefficients)
-
-    def derivative(self, z, delta):
+    def value_and_derivative(self, z, delta):
         z = np.asarray(z, dtype=complex)
+        value = np.polynomial.polynomial.polyval(z, self.coefficients)
         if len(self.coefficients) == 1:
-            return np.zeros_like(z)
+            return value, np.zeros_like(z)
         der = np.polynomial.polynomial.polyder(self.coefficients)
-        return np.polynomial.polynomial.polyval(z, der)
+        return value, np.polynomial.polynomial.polyval(z, der)
 
     def descriptor(self):
         return "poly:" + ",".join(format_complex(c) for c in self.coefficients)
@@ -103,14 +93,8 @@ class ExpAffine(InitialData):
     c: complex
     d: complex = 0j
 
-    def evaluate(self, z, delta):
-        return np.exp(self.c * np.asarray(z, dtype=complex) + self.d)
-
-    def derivative(self, z, delta):
-        return self.c * self.evaluate(z, delta)
-
     def value_and_derivative(self, z, delta):
-        w = self.evaluate(z, delta)
+        w = np.exp(self.c * np.asarray(z, dtype=complex) + self.d)
         return w, self.c * w
 
     def descriptor(self):
@@ -128,14 +112,10 @@ class LambdaPower(InitialData):
         if self.k < 0 or self.k != int(self.k):
             raise ValueError(f"power must be a nonnegative integer, got {self.k}")
 
-    def evaluate(self, z, delta):
-        return (np.asarray(z, dtype=complex) + 1j * delta) ** self.k
-
-    def derivative(self, z, delta):
-        z = np.asarray(z, dtype=complex)
-        if self.k == 0:
-            return np.zeros_like(z)
-        return self.k * (z + 1j * delta) ** (self.k - 1)
+    def value_and_derivative(self, z, delta):
+        lam = np.asarray(z, dtype=complex) + 1j * delta
+        der = self.k * lam ** (self.k - 1) if self.k else np.zeros_like(lam)
+        return lam ** self.k, der
 
     def descriptor(self):
         return f"lpow:{self.k}"
@@ -394,23 +374,11 @@ class ResidualReport:
     mode: str            # "analytic" or "fd"
     hx: float | None
     hy: float | None
-    boundary_excluded: bool
     relative: float | None  # fd mode only, see system_residual
 
     @property
     def max_residual(self) -> float:
         return max(self.max_r1, self.max_r2)
-
-    def to_dict(self) -> dict:
-        return {
-            "max_r1": self.max_r1,
-            "max_r2": self.max_r2,
-            "mode": self.mode,
-            "hx": self.hx,
-            "hy": self.hy,
-            "boundary_excluded": self.boundary_excluded,
-            "relative": self.relative,
-        }
 
 
 # A central difference with step h of data of size |f| carries rounding of
@@ -476,7 +444,7 @@ def system_residual(
     r2 = v_x + u_y - beta*v_y on the grid of ``uv``.
 
     mode="fd" uses central differences of the stored grids (a one-node
-    rim per stride is excluded and recorded); mode="analytic" requires
+    rim per stride is excluded); mode="analytic" requires
     the field to carry closed-form partial grids.
 
     In fd mode the report's ``relative`` is the larger of max|r1| and
@@ -518,10 +486,7 @@ def system_residual(
     if mode == "fd":
         relative = float(np.max([_relative(max_r1, sizes1),
                                  _relative(max_r2, sizes2)]))
-    return ResidualReport(
-        max_r1, max_r2, r1, r2,
-        mode, hx, hy, boundary_excluded=mode == "fd", relative=relative,
-    )
+    return ResidualReport(max_r1, max_r2, r1, r2, mode, hx, hy, relative)
 
 
 def transport_residual(

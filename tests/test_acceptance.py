@@ -248,7 +248,7 @@ def test_criterion_9_baseline_degradation():
     lin = beurling_transform(2.0 * f + (0.5 - 1j) * g, grid) \
         - 2.0 * sf - (0.5 - 1j) * beurling_transform(g, grid)
     ok &= float(np.abs(lin).max()) < 1e-12 * float(np.abs(sf).max() + 1)
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(*grid.axes())
     bump = np.exp(-(X**2 + Y**2) / 1.28)
     h = grid.spacing
 

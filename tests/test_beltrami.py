@@ -7,6 +7,7 @@ from rigidpde.beltrami import (
     VERDICT_MAX_ITER,
     BeltramiProblem,
     TorusGrid,
+    _ramp,
     beurling_transform,
     cauchy_transform,
     classify_contraction,
@@ -15,7 +16,6 @@ from rigidpde.beltrami import (
     family_mu_on_torus,
     smoothstep,
     solve_beltrami_neumann,
-    truncation_bump,
 )
 from rigidpde.errors import DomainError
 from rigidpde.fields import REFERENCE_WINDOW, DeltaFamily, Region
@@ -55,7 +55,7 @@ def test_beurling_zero_and_size_mismatch():
 def test_beurling_plane_wave_unit_modulus_multiplier():
     # one Fourier mode scales by conj(xi)/xi, computed independently here
     grid = TorusGrid(64, L=2.0)
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(*grid.axes())
     for k1, k2 in ((3, 5), (-2, 7), (1, 0)):
         xi1 = 2 * np.pi * k1 / (2 * grid.L)
         xi2 = 2 * np.pi * k2 / (2 * grid.L)
@@ -95,7 +95,7 @@ def test_beurling_maps_dbar_to_dz():
     errs = []
     for n in (128, 256):
         grid = TorusGrid(n)
-        X, Y = grid.meshgrid()
+        X, Y = np.meshgrid(*grid.axes())
         g = np.exp(-(X**2 + Y**2) / 1.28)
         dbar, dz = periodic_dbar_dz(g, grid)
         errs.append(np.abs(beurling_transform(dbar, grid) - dz).max())
@@ -105,18 +105,19 @@ def test_beurling_maps_dbar_to_dz():
 
 def test_cauchy_transform_inverts_dbar():
     grid = TorusGrid(256)
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(*grid.axes())
     f = (1.0 + 0.3j) * np.exp(-(X**2 + Y**2) / 0.8)
     f -= f.mean()
     dbar_cf, _ = periodic_dbar_dz(cauchy_transform(f, grid), grid)
     assert np.abs(dbar_cf - f).max() < 1e-3  # fd accuracy
 
 
-def test_truncation_bump_profile():
+def test_window_ramp_profile():
     grid = TorusGrid(64)
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(*grid.axes())
     inner = Region(-0.5, 1.0, -1.0, 1.0)
-    w = truncation_bump(X, Y, inner, margin=0.4)
+    w = (_ramp(X, inner.x_min, inner.x_max, 0.4)
+         * _ramp(Y, inner.y_min, inner.y_max, 0.4))
     # strictly inside the window the ramps clip to exactly 1
     inside = (X > -0.4) & (X < 0.9) & (np.abs(Y) < 0.9)
     outside = (X < -0.9) | (X > 1.4) | (np.abs(Y) > 1.4)
@@ -129,7 +130,7 @@ def test_family_mu_truncated_support_and_bound():
     grid = TorusGrid(128)
     mu = family_mu_on_torus(DeltaFamily(0.1), grid)
     assert np.abs(mu).max() < 1.0
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(*grid.axes())
     assert np.all(mu[(X < -0.95)] == 0.0)  # support stays right of x = -1
     with pytest.raises(DomainError):
         family_mu_on_torus(DeltaFamily(0.1), grid, margin=0.6)  # ring hits x=-1
@@ -140,7 +141,7 @@ def test_neumann_mu_zero_converges_immediately():
     w, trace = solve_beltrami_neumann(BeltramiProblem(np.zeros((32, 32)), grid))
     assert trace.verdict == VERDICT_CONVERGED
     assert trace.iterations == 1
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(*grid.axes())
     np.testing.assert_array_equal(w, X + 1j * Y)  # w = z exactly
 
 
@@ -165,7 +166,7 @@ def test_neumann_family_iteration_counts_grow():
 
 def test_neumann_divergence_verdict():
     grid = TorusGrid(128)
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(*grid.axes())
     mu = 1.3 * np.exp(1j * (2 * np.pi / 8) * (X + 2 * Y))  # sup|mu| > 1
     _, trace = solve_beltrami_neumann(BeltramiProblem(mu, grid, max_iter=500))
     assert trace.verdict == VERDICT_DIVERGED
@@ -219,7 +220,7 @@ def test_trace_csv_format():
 # bit for bit (sign of zero included).
 
 def ref_family_mu(fam, grid, inner, margin):
-    X, Y = grid.meshgrid()
+    X, Y = np.meshgrid(*grid.axes())
 
     def ramp(v, lo, hi):
         return smoothstep((v - (lo - margin)) / margin) * \

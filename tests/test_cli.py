@@ -1,9 +1,11 @@
+import hashlib
 import json
 import re
 
 import numpy as np
 import pytest
 
+from rigidpde import bench as bench_mod
 from rigidpde.cli import main
 from rigidpde.fields import (
     DeltaFamily,
@@ -148,6 +150,29 @@ def test_solve_writes_field_files(solved):
     assert header["grid"] == [257, 257]
     uv = read_real_pair_csv(f"{solved}_uv.csv")
     assert uv.grid == GridSpec(257, 257)
+
+
+# sha256 of the _w.csv and _uv.csv files; exp profiles are left out, as
+# libm's exp may differ in the last ulp from one platform to another
+SOLVE_GOLDEN = {
+    ("1", "lpow:3"): (
+        "75ad68e5b176077fea6cd8b86b3c8c1d7fe572a829eb7e181574daca9a22f3d5",
+        "85861186b04a10013e58db171a679b9468abf05d536fbee4d8210f8b06f88dd3"),
+    ("1e-10", "poly:0.3,-1i,0.25"): (
+        "50001dac0b16a0dae8d3c4faa8aedf179a01e77ef0380425150e6ed6bf4a5796",
+        "9fc9984c7129df65fdee6ad907a6a5cf910c219fc9cee0e0f6a824bc62e2a070"),
+}
+
+
+@pytest.mark.parametrize("delta,f0", sorted(SOLVE_GOLDEN))
+def test_solve_files_are_byte_identical_to_golden(delta, f0, tmp_path, capsys):
+    base = tmp_path / "s"
+    code, _, _ = run(capsys, "solve", "--delta", delta, "--f0", f0,
+                     "--grid", "33,17", "--out", str(base))
+    assert code == 0
+    got = tuple(hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                for name in ("s_w.csv", "s_uv.csv"))
+    assert got == SOLVE_GOLDEN[delta, f0]
 
 
 def test_solve_rejects_bad_f0(capsys):
@@ -309,6 +334,23 @@ def test_bench_config_file(tmp_path, capsys):
     report = json.loads(out)
     assert report["config"]["f0"] == "lpow:2"
     assert report["rows"][0]["error"] is None
+
+
+def test_bench_flags_override_only_what_they_set(monkeypatch, capsys):
+    seen = []
+
+    def fake_run(cfg):
+        seen.append(cfg)
+        return bench_mod.BenchReport(config=cfg.to_dict())
+
+    monkeypatch.setattr(bench_mod, "run_benchmark", fake_run)
+    assert run(capsys, "bench")[0] == 0
+    assert seen[-1] == bench_mod.BenchConfig()
+    assert run(capsys, "bench", "--repetitions", "4", "--region",
+               "-0.25,0.5,-0.5,0.5", "--beltrami")[0] == 0
+    assert seen[-1] == bench_mod.BenchConfig(
+        repetitions=4, region=Region(-0.25, 0.5, -0.5, 0.5),
+        include_beltrami=True)
 
 
 def test_negative_value_tokens_parse_without_equals():

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rigidpde.analysis import burgers_residual
-from rigidpde.errors import DomainError, StencilOutOfDomain
+from rigidpde.errors import DomainError, NonFiniteCoefficient, StencilOutOfDomain
 from rigidpde.fields import (
     REFERENCE_WINDOW,
     CallableField,
@@ -15,7 +15,6 @@ from rigidpde.fields import (
     Region,
     aligned_gridspec,
     grid_axes,
-    grid_points,
     numeric_partials,
     write_field_csv,
 )
@@ -149,13 +148,43 @@ def test_numeric_partials_stencil_out_of_domain():
     numeric_partials(field, 0.5, 0.5, h=1e-3)  # interior is fine
 
 
-def test_grid_points_unit_square_corners():
-    pts = grid_points(Region(0, 1, 0, 1), GridSpec(2, 2))
+def test_numeric_partials_raise_on_a_non_finite_sample():
+    # alpha is NaN on the quarter plane x > 0.25, y > 0: the partials used
+    # to come back as NaN without an error
+    field = CallableField(
+        lambda x, y: np.where((x > 0.25) & (y > 0), np.nan, 1.0 + 0.0 * x),
+        lambda x, y: 0.0 * x)
+    with pytest.raises(NonFiniteCoefficient) as excinfo:
+        numeric_partials(field, 0.5, 0.5)
+    err = excinfo.value
+    assert (err.name, err.x, err.y) == ("alpha", 0.5, 0.5)
+    # on arrays, the first bad node in row-major order, then the first
+    # bad quantity there: alpha_y at (0.5, 0), whose stencil reaches y > 0
+    xs, ys = np.array([0.0, 0.5]), np.array([-0.5, 0.0, 0.5])
+    with pytest.raises(NonFiniteCoefficient,
+                       match=r"non-finite alpha_y = nan at \(x=0.5, y=0.0\)"):
+        numeric_partials(field, xs[None, :], ys[:, None], h=1e-3)
+    # an overflowing difference is caught too, without a RuntimeWarning
+    huge = CallableField(lambda x, y: np.where(x > 0, 1.7e308, -1.7e308),
+                         lambda x, y: 0.0 * x)
+    with pytest.raises(NonFiniteCoefficient, match="alpha_x = inf"):
+        numeric_partials(huge, 0.0, 0.0)
+
+
+def grid_nodes(region, grid):
+    """All grid nodes as an (nx*ny, 2) array, row-major with x varying
+    fastest."""
+    X, Y = np.meshgrid(*grid_axes(region, grid))
+    return np.column_stack([X.ravel(), Y.ravel()])
+
+
+def test_grid_axes_unit_square_corners():
+    pts = grid_nodes(Region(0, 1, 0, 1), GridSpec(2, 2))
     np.testing.assert_array_equal(pts, [[0, 0], [1, 0], [0, 1], [1, 1]])
 
 
-def test_grid_points_reference_window_4x5():
-    pts = grid_points(REFERENCE_WINDOW, GridSpec(4, 5))
+def test_grid_axes_reference_window_4x5():
+    pts = grid_nodes(REFERENCE_WINDOW, GridSpec(4, 5))
     assert pts.shape == (20, 2)
     np.testing.assert_array_equal(pts[0], [-0.5, -1.0])
     np.testing.assert_array_equal(pts[-1], [1.0, 1.0])
@@ -177,7 +206,7 @@ def test_grid_axes_bounding_box_is_exact():
         region = Region(x0, x0 + rng.uniform(0.1, 3.0),
                         rng.uniform(-2, 0), rng.uniform(0.1, 2))
         grid = GridSpec(rng.integers(2, 40), rng.integers(2, 40))
-        pts = grid_points(region, grid)
+        pts = grid_nodes(region, grid)
         assert pts.shape == (grid.count, 2)
         assert pts[:, 0].min() == region.x_min
         assert pts[:, 0].max() == region.x_max

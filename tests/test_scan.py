@@ -6,6 +6,7 @@ sampling."""
 import numpy as np
 import pytest
 
+from rigidpde import analysis
 from rigidpde.analysis import (
     SCAN_CHUNK_NODES,
     TABLE_DELTAS,
@@ -46,7 +47,7 @@ TABLE_REGION = Region(W.x_min - 0.01, W.x_max + 0.01,
                       W.y_min - 0.01, W.y_max + 0.01)
 
 
-def reference_scan(field, region, grid, rigidity_tol=None, chunk_rows=128):
+def reference_scan(field, region, grid, rigidity_tol=None, rows=128):
     """The meshgrid scan that scan_region replaced, kept as the reference
     its reports must match exactly."""
     if rigidity_tol is None:
@@ -54,8 +55,8 @@ def reference_scan(field, region, grid, rigidity_tol=None, chunk_rows=128):
     xs, ys = grid_axes(region, grid)
     inf_mu, sup_mu = np.inf, -np.inf
     max_a, max_b = 0.0, 0.0
-    for start in range(0, ys.size, chunk_rows):
-        X, Y = np.meshgrid(xs, ys[start:start + chunk_rows])
+    for start in range(0, ys.size, rows):
+        X, Y = np.meshgrid(xs, ys[start:start + rows])
         cs = field.sample(X, Y)
         lam = field.spectral(X, Y)
         if lam is not None:
@@ -88,6 +89,15 @@ def reference_scan(field, region, grid, rigidity_tol=None, chunk_rows=128):
                   else "finite-difference"),
         delta=getattr(field, "delta", None),
     )
+
+
+def scan_in_chunks(field, grid, rows=None):
+    """scan_region over W in chunks of ``rows`` grid rows (None: the
+    default chunk size)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if rows is not None:
+            mp.setattr(analysis, "SCAN_CHUNK_NODES", rows * grid.nx)
+        return scan_region(field, W, grid)
 
 
 def same_report(got, want):
@@ -143,12 +153,6 @@ def test_scan_default_chunk_fits_the_node_budget():
     assert all(s[0] * s[1] <= SCAN_CHUNK_NODES for s in seen)
 
 
-def test_scan_rejects_empty_chunks():
-    with pytest.raises(ValueError, match="chunk_rows"):
-        scan_region(DeltaField(DeltaFamily(1.0)), W, GridSpec(5, 5),
-                    chunk_rows=0)
-
-
 def test_obstruction_buffers_keep_the_formula():
     # in-place evaluation of (A, B) equals the written expressions exactly
     rng = np.random.default_rng(3)
@@ -174,7 +178,7 @@ def make_field(kind, delta):
     return family_callable(delta)
 
 
-def test_scan_report_independent_of_chunk_rows():
+def test_scan_report_independent_of_chunk_size():
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
@@ -185,8 +189,8 @@ def test_scan_report_independent_of_chunk_rows():
     def check(kind, nx, ny, log_delta, data):
         field = make_field(kind, 10.0 ** log_delta)
         grid = GridSpec(nx, ny)
-        chunk_rows = data.draw(st.integers(1, ny), label="chunk_rows")
-        same_report(scan_region(field, W, grid, chunk_rows=chunk_rows),
+        rows = data.draw(st.integers(1, ny), label="rows")
+        same_report(scan_in_chunks(field, grid, rows),
                     scan_region(field, W, grid))
 
     check()
@@ -240,7 +244,7 @@ def test_non_finite_value_raises_at_its_node():
         xs, ys = grid_axes(W, grid)
         i = data.draw(st.integers(0, nx - 1), label="i")
         j = data.draw(st.integers(0, ny - 1), label="j")
-        chunk_rows = data.draw(st.integers(1, ny), label="chunk_rows")
+        rows = data.draw(st.integers(1, ny), label="rows")
         x0, y0 = float(xs[i]), float(ys[j])
         if kind.startswith("callable"):
             # a bad sample at the centre of node (i, j) only: the stencil
@@ -254,7 +258,7 @@ def test_non_finite_value_raises_at_its_node():
         else:
             field = Injected(make_field(kind, delta), x0, y0, name, value)
         with pytest.raises(NonFiniteCoefficient) as excinfo:
-            scan_region(field, W, grid, chunk_rows=chunk_rows)
+            scan_in_chunks(field, grid, rows)
         err = excinfo.value
         assert (err.x, err.y) == (x0, y0)
         assert f"(x={x0!r}, y={y0!r})" in str(err)
@@ -291,9 +295,9 @@ def test_nan_quarter_plane_is_not_a_rigid_scan():
         lambda x, y: np.where((x > 0.25) & (y > 0), np.nan,
                               (y * y + 1e-2) / ((1.0 + x) * (1.0 + x))),
         lambda x, y: -2.0 * y / (1.0 + x))
-    for chunk_rows in (None, 1, 7, 401):
+    for rows in (None, 1, 7, 401):
         with pytest.raises(NonFiniteCoefficient) as excinfo:
-            scan_region(field, W, GridSpec(101, 401), chunk_rows=chunk_rows)
+            scan_in_chunks(field, GridSpec(101, 401), rows)
         # first in row-major order: on y = 0, whose stencil reaches y > 0
         assert str(excinfo.value) == \
             "non-finite alpha_y = nan at (x=0.265, y=0.0)"
