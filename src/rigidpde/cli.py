@@ -25,6 +25,7 @@ arguments or inputs, 2 the command-specific negative verdict.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -221,33 +222,38 @@ def cmd_beltrami(args) -> int:
     _, trace = bl.solve_beltrami_neumann(problem)
     _emit(trace.to_csv(), args.out)
     est = bl.contraction_estimate(problem.sup_mu)
+    rate = trace.observed_rate()
     descriptor = {
         "n": args.n, "L": args.L, "delta": args.delta, "margin": args.margin,
         "tol": args.tol, "max_iter": args.max_iter, "sup_mu": problem.sup_mu,
         "verdict": trace.verdict, "iterations": trace.iterations,
+        "observed_rate": rate,
     }
     print(json.dumps(descriptor))
+    observed = "n/a" if rate is None else f"{rate:.6g}"
     print(f"sup|mu| = {problem.sup_mu:.6g} "
-          f"(L2 contraction estimate {est:.6g}, {bl.classify_contraction(est)})")
+          f"(L2 contraction estimate {est:.6g}, {bl.classify_contraction(est)}; "
+          f"observed rate {observed})")
     print(f"verdict: {trace.summary()}")
     return 0
 
 
 def cmd_bench(args) -> int:
+    cfg = bench_mod.BenchConfig()
     if args.config:
         with open(args.config) as fh:
             cfg = bench_mod.BenchConfig.from_dict(json.load(fh))
-    else:  # flags given override the BenchConfig defaults
-        given = {"f0": args.f0, "repetitions": args.repetitions,
-                 "include_beltrami": args.beltrami}
-        if args.deltas is not None:
-            given["deltas"] = tuple(float(d) for d in args.deltas.split(","))
-        if args.region is not None:
-            given["region"] = _parse_region(args.region)
-        if args.grid is not None:
-            given["grid"] = _parse_grid(args.grid)
-        cfg = bench_mod.BenchConfig(
-            **{k: v for k, v in given.items() if v is not None})
+    # flags given override the file's config, or the BenchConfig defaults
+    given = {"f0": args.f0, "repetitions": args.repetitions,
+             "include_beltrami": args.beltrami}
+    if args.deltas is not None:
+        given["deltas"] = tuple(float(d) for d in args.deltas.split(","))
+    if args.region is not None:
+        given["region"] = _parse_region(args.region)
+    if args.grid is not None:
+        given["grid"] = _parse_grid(args.grid)
+    cfg = dataclasses.replace(
+        cfg, **{k: v for k, v in given.items() if v is not None})
     report = bench_mod.run_benchmark(cfg)
     _emit(bench_mod.emit_report(report, "json" if args.json else "csv"),
           args.out)

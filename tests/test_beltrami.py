@@ -1,11 +1,16 @@
+import hashlib
+
 import numpy as np
 import pytest
 
 from rigidpde.beltrami import (
+    DIVERGENCE_FACTOR,
+    RATE_SWEEPS,
     VERDICT_CONVERGED,
     VERDICT_DIVERGED,
     VERDICT_MAX_ITER,
     BeltramiProblem,
+    IterationTrace,
     TorusGrid,
     _ramp,
     beurling_transform,
@@ -282,3 +287,166 @@ def test_transforms_match_the_meshgrid_symbols(grid):
                      np.fft.ifft2(beurling * np.fft.fft2(f)))
     assert_same_bits(cauchy_transform(f, grid),
                      np.fft.ifft2(cauchy * np.fft.fft2(f)))
+
+
+# --- observed contraction rate -----------------------------------------------
+
+def test_observed_rate_of_a_converged_trace():
+    grid = TorusGrid(64, L=2.0)
+    _, trace = solve_beltrami_neumann(
+        BeltramiProblem(family_mu_on_torus(DeltaFamily(1.0), grid, margin=0.3),
+                        grid))
+    assert trace.verdict == VERDICT_CONVERGED
+    r = trace.residuals
+    assert len(r) > RATE_SWEEPS + 1
+    want = (r[-1] / r[-1 - RATE_SWEEPS]) ** (1.0 / RATE_SWEEPS)
+    assert trace.observed_rate() == want
+    assert 0.0 < want < 1.0
+
+
+def test_observed_rate_of_a_max_iter_trace():
+    grid = TorusGrid(256)
+    _, trace = solve_beltrami_neumann(BeltramiProblem(
+        family_mu_on_torus(DeltaFamily(0.01), grid), grid, max_iter=40))
+    assert trace.verdict == VERDICT_MAX_ITER
+    rate = trace.observed_rate()
+    r = trace.residuals
+    assert rate == (r[-1] / r[-1 - RATE_SWEEPS]) ** (1.0 / RATE_SWEEPS)
+    # slow contraction, below the L2 estimate sup|mu| = 0.992
+    assert 0.9 < rate < 0.9921
+
+
+def test_observed_rate_of_short_traces():
+    assert IterationTrace().observed_rate() is None
+    assert IterationTrace(residuals=[0.5], iterations=1).observed_rate() is None
+    # fewer sweeps than RATE_SWEEPS: every ratio the trace has
+    short = IterationTrace(residuals=[0.5, 0.125, 0.03125], iterations=3)
+    assert short.observed_rate() == 0.25
+    grid = TorusGrid(32)
+    _, trace = solve_beltrami_neumann(BeltramiProblem(np.zeros((32, 32)), grid))
+    assert trace.iterations == 1 and trace.observed_rate() is None
+    _, trace = solve_beltrami_neumann(
+        BeltramiProblem(np.full((32, 32), 0.3 + 0.1j), grid))
+    assert trace.residuals[-1] == 0.0 and trace.observed_rate() == 0.0
+
+
+# --- the support-restricted sweep against full-grid transforms ---------------
+
+def ref_neumann(problem):
+    """The plain Neumann loop: full-grid fft2/ifft2 on every sweep.  Also
+    returns sup|phi_k| + sup|phi_(k-1)|, the scale of each residual."""
+    grid = problem.grid
+    sym, cauchy = ref_multipliers(grid)
+    phi = np.zeros((grid.n, grid.n), dtype=complex)
+    residuals, scales, verdict = [], [], VERDICT_MAX_ITER
+    for _ in range(problem.max_iter):
+        f = np.fft.fft2(phi)
+        f *= sym
+        nxt = np.fft.ifft2(f)
+        nxt += 1.0
+        nxt *= problem.mu
+        residuals.append(float(np.abs(nxt - phi).max()))
+        scales.append(float(np.abs(nxt).max() + np.abs(phi).max()))
+        phi = nxt
+        if residuals[-1] < problem.tol:
+            verdict = VERDICT_CONVERGED
+            break
+        if residuals[-1] > DIVERGENCE_FACTOR * residuals[0]:
+            verdict = VERDICT_DIVERGED
+            break
+    X, Y = np.meshgrid(*grid.axes())
+    f = np.fft.fft2(phi)
+    f *= cauchy
+    return X + 1j * Y + np.fft.ifft2(f), residuals, scales, verdict
+
+
+# numpy's FMA loops round a*b and b*a apart in the last bit, so the
+# reference multiplies in the library's operand order (the order numpy's
+# in-place temporaries give the full-grid code at 256²).  What is left is
+# where an entry falls in numpy's vector loops, which moves the last bit of
+# a product: residuals agree to ulps of the iterates they subtract, w to
+# ulps of its size.
+ULPS = 4
+
+
+def assert_matches_reference(n, r0, h, c0, w, scale, seed):
+    """mu random on the h x w rectangle of the n x n torus whose first
+    row and column are r0 and c0 (it wraps round the edge past n)."""
+    rows, cols = (r0 + np.arange(h)) % n, (c0 + np.arange(w)) % n
+    rng = np.random.default_rng(seed)
+    mu = np.zeros((n, n), dtype=complex)
+    mu[np.ix_(rows, cols)] = (rng.uniform(0.0, scale, (h, w))
+                              * np.exp(2j * np.pi * rng.random((h, w))))
+    problem = BeltramiProblem(mu, TorusGrid(n), max_iter=80)
+    w_got, trace = solve_beltrami_neumann(problem)
+    w_ref, residuals, scales, verdict = ref_neumann(problem)
+    assert trace.verdict == verdict
+    assert trace.iterations == len(residuals)
+    eps = ULPS * np.finfo(float).eps
+    assert np.all(np.abs(np.subtract(trace.residuals, residuals))
+                  <= eps * np.array(scales))
+    assert np.abs(w_got - w_ref).max() <= eps * np.abs(w_ref).max()
+
+
+@pytest.mark.parametrize("n,r0,h,c0,w", [
+    (32, 5, 0, 3, 7),     # empty: mu = 0
+    (32, 0, 32, 0, 32),   # full support
+    (64, 60, 9, 62, 5),   # wraps round both edges
+    (16, 15, 2, 7, 1),    # one column, wrapping rows
+])
+@pytest.mark.parametrize("scale", [0.9, 1.5])
+def test_restricted_sweep_on_named_supports(n, r0, h, c0, w, scale):
+    assert_matches_reference(n, r0, h, c0, w, scale, seed=3)
+
+
+def test_restricted_sweep_matches_full_transforms():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(n=st.sampled_from([16, 32, 64]), data=st.data(),
+               scale=st.sampled_from([0.0, 0.3, 0.9, 1.5]),
+               seed=st.integers(0, 2**16))
+    def check(n, data, scale, seed):
+        r0, c0 = (data.draw(st.integers(0, n - 1)) for _ in range(2))
+        h, w = (data.draw(st.integers(0, n)) for _ in range(2))
+        assert_matches_reference(n, r0, h, c0, w, scale, seed)
+
+    check()
+
+
+# Recorded from the full-grid fft2/ifft2 loop at 256² (numpy's pocketfft,
+# x86-64): sha256 of the residuals as float64 bytes, and of w's bytes.
+SWEEP_GOLDEN = {
+    1: (VERDICT_CONVERGED, 28,
+        "2b0635d72f2bf203182cdaf3a1c38fedaa9e2b29455fedf2c32ea5a0767240d4"),
+    0.3: (VERDICT_CONVERGED, 61,
+          "6c4caf672e036efd1543fb3f9048cb6cbadb79d8a70838becc49be4e1063f7b4"),
+    0.1: (VERDICT_CONVERGED, 146,
+          "3ef40166e571f8fd440a402a90652d4fd64056a54907b179c46e041e6571d67b"),
+    0.01: (VERDICT_MAX_ITER, 300,
+           "afe5a5139344d373c7bad8fe37e200e4c81e8852da4ffa04ffde56fc95913fc7"),
+}
+W_GOLDEN = {
+    1: "1ea4fef9cc51a758b23aafa46cf1253370f76c5216e70739db561f29e03929ef",
+    0.01: "a16d6062cd6792e0067224d231e899a96b22bfe5c2e730d767324fc918befb55",
+}
+
+
+def sha256_of(a):
+    return hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+
+
+def test_delta_sweep_is_byte_identical_to_golden():
+    traces = delta_sweep((1, 0.3, 0.1, 0.01), TorusGrid(256))
+    got = {d: (t.verdict, t.iterations, sha256_of(np.array(t.residuals)))
+           for d, t in traces.items()}
+    assert got == SWEEP_GOLDEN
+
+
+@pytest.mark.parametrize("delta", sorted(W_GOLDEN))
+def test_family_w_is_byte_identical_to_golden(delta):
+    grid = TorusGrid(256)
+    w, _ = solve_beltrami_neumann(
+        BeltramiProblem(family_mu_on_torus(DeltaFamily(delta), grid), grid))
+    assert sha256_of(w) == W_GOLDEN[delta]

@@ -311,6 +311,38 @@ def test_beltrami_trace_csv(tmp_path, capsys):
     assert len(lines) > 2
 
 
+# trace CSV sha256 and descriptor of `beltrami --delta 0.1 --n 256`, recorded
+# from the full-grid fft2/ifft2 sweep (before observed_rate was reported)
+BELTRAMI_GOLDEN_CSV = "6b72da54f6cec9addcc085e431ef70edd997a2a976bd6e5999cb76ae91a07f8d"
+BELTRAMI_GOLDEN_DESCRIPTOR = {
+    "n": 256, "L": 4.0, "delta": 0.1, "margin": 0.4, "tol": 1e-10,
+    "max_iter": 300, "sup_mu": 0.9235481451827985, "verdict": "converged",
+    "iterations": 146}
+
+
+def test_beltrami_trace_and_descriptor_are_byte_identical_to_golden(tmp_path, capsys):
+    trace = tmp_path / "trace.csv"
+    code, out, _ = run(capsys, "beltrami", "--delta", "0.1", "--n", "256",
+                       "--out", str(trace))
+    assert code == 0
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == BELTRAMI_GOLDEN_CSV
+    descriptor = json.loads(out.splitlines()[0])
+    rate = descriptor.pop("observed_rate")
+    assert descriptor == BELTRAMI_GOLDEN_DESCRIPTOR
+    # the last ten ratios of the trace, read back from the 6-digit CSV
+    r = [float(line.split(",")[1]) for line in trace.read_text().splitlines()[-11:]]
+    assert rate == pytest.approx((r[-1] / r[0]) ** 0.1, rel=1e-5)
+    assert f"near-divergent; observed rate {rate:.6g})" in out
+
+
+def test_beltrami_one_sweep_has_no_observed_rate(capsys):
+    code, out, _ = run(capsys, "beltrami", "--delta", "1", "--n", "32",
+                       "--max-iter", "1")
+    assert code == 0
+    assert json.loads(out.splitlines()[-3])["observed_rate"] is None
+    assert "observed rate n/a" in out
+
+
 # --- bench -------------------------------------------------------------------
 
 def test_bench_csv_header_and_na(capsys):
@@ -351,6 +383,27 @@ def test_bench_flags_override_only_what_they_set(monkeypatch, capsys):
     assert seen[-1] == bench_mod.BenchConfig(
         repetitions=4, region=Region(-0.25, 0.5, -0.5, 0.5),
         include_beltrami=True)
+
+
+def test_bench_flags_override_the_config_file(tmp_path, monkeypatch, capsys):
+    seen = []
+
+    def fake_run(cfg):
+        seen.append(cfg)
+        return bench_mod.BenchReport(config=cfg.to_dict())
+
+    monkeypatch.setattr(bench_mod, "run_benchmark", fake_run)
+    file_cfg = bench_mod.BenchConfig(deltas=(1.0, 0.5), grid=GridSpec(64, 64),
+                                     repetitions=3, scan_nominal=101)
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps(file_cfg.to_dict()))
+    assert run(capsys, "bench", "--config", str(path))[0] == 0
+    assert seen[-1] == file_cfg
+    assert run(capsys, "bench", "--config", str(path), "--repetitions", "9",
+               "--f0", "lpow:2", "--deltas", "1e-3")[0] == 0
+    assert seen[-1] == bench_mod.BenchConfig(
+        deltas=(1e-3,), grid=GridSpec(64, 64), f0="lpow:2", repetitions=9,
+        scan_nominal=101)
 
 
 def test_negative_value_tokens_parse_without_equals():
