@@ -30,7 +30,6 @@ from .fields import (
     GridSpec,
     GridTableField,
     PerturbedDeltaField,
-    Point,
     Region,
     aligned_gridspec,
     grid_axes,

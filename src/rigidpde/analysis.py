@@ -22,7 +22,6 @@ from .fields import (
     DeltaFamily,
     DeltaField,
     GridSpec,
-    Point,
     Region,
     _node,
     _raise_non_finite,
@@ -196,11 +195,11 @@ def burgers_residual(field: CoefficientField, p, h=None):
     lambda**2 + beta*lambda + alpha = 0), formed as (a + lambda*b)/s with
     s = 2*Im(lambda) and (a, b) = s*(A, B), exact where disc = s**2
     underflows; other fields, central differences of lambda at step h.
-    ``p`` may be a Point or an (x, y) pair of scalars/arrays.  A centre
-    outside the field's domain raises DomainError; a stencil foot outside
-    it, StencilOutOfDomain.
+    ``p`` is an (x, y) pair of scalars/arrays.  A centre outside the
+    field's domain raises DomainError; a stencil foot outside it,
+    StencilOutOfDomain.
     """
-    x, y = (p.x, p.y) if isinstance(p, Point) else p
+    x, y = p
     if field.closed_form_partials:
         lam = spectral_lambda(field, x, y)
         s = 2.0 * lam.imag

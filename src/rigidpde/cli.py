@@ -213,8 +213,6 @@ def cmd_verify(args) -> int:
 
 
 def cmd_beltrami(args) -> int:
-    if args.n < 16 or (args.n & (args.n - 1)) != 0:
-        return _fail(f"--n must be a power of two >= 16, got {args.n}")
     grid = bl.TorusGrid(args.n, args.L)
     fam = DeltaFamily(args.delta)
     mu = bl.family_mu_on_torus(fam, grid, margin=args.margin)

@@ -1,4 +1,4 @@
-"""Points, regions, grids, and planar coefficient fields.
+"""Regions, grids, and planar coefficient fields.
 
 A coefficient field assigns to every point (x, y) of the half-plane
 x > -1 the pair (alpha, beta) of a first-order system
@@ -31,9 +31,8 @@ import numpy as np
 from .errors import DomainError, NonFiniteCoefficient, StencilOutOfDomain
 
 # Coefficients blow up like (1+x)**-3 as x -> -1; keep a hard guard margin
-# so 1/(1+x) powers stay finite in double precision.
-X_GUARD = 1e-12
-X_MIN = -1.0 + X_GUARD
+# of 1e-12 so 1/(1+x) powers stay finite in double precision.
+X_MIN = -1.0 + 1e-12
 
 # Default pointwise finite-difference step (balances truncation vs roundoff
 # for double precision, scaled away from the origin).
@@ -43,23 +42,6 @@ FD_STEP_COEFF = 1e-5
 def default_fd_step(x, y):
     """Default central-difference step 1e-5 * max(1, |x|+|y|)."""
     return FD_STEP_COEFF * np.maximum(1.0, np.abs(x) + np.abs(y))
-
-
-@dataclass(frozen=True)
-class Point:
-    """A point of the elliptic half-plane x > -1."""
-
-    x: float
-    y: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.x) or not np.isfinite(self.y):
-            raise DomainError(f"point coordinates must be finite, got {self}")
-        if self.x < X_MIN:
-            raise DomainError(
-                f"x = {self.x:.9g} is outside the elliptic half-plane x > -1 "
-                f"(guard margin {X_GUARD:g})"
-            )
 
 
 @dataclass(frozen=True)
@@ -299,14 +281,14 @@ class DeltaField(CoefficientField):
         return CoefficientSample(alpha, beta, alpha_x, alpha_y, beta_x, beta_y)
 
     def spectral(self, x, y):
-        # inv and b depend on x alone and stay rows
         y, inv = self._y_inv(x, y)
+        if not self.eps:  # b = delta*inv: one pass gives the bits of a + i*b
+            return ((y + 1j * self.delta) * inv)[()]
+        # inv and b depend on x alone and stay rows
         d_inv = self.delta * inv
-        # at eps = 0, b = d_inv: what sqrt(d_inv**2) gives unless it underflows
-        b = np.sqrt(d_inv * d_inv + self.eps) if self.eps else d_inv
         lam = np.empty(np.broadcast_shapes(inv.shape, y.shape), dtype=complex)
         np.multiply(y + 0.0, inv, out=lam.real)  # a, with y = -0.0 read as 0.0
-        lam.imag = b
+        lam.imag = np.sqrt(d_inv * d_inv + self.eps)  # b
         return lam[()]
 
 
@@ -496,16 +478,13 @@ def central_stencil(fn, x, y, h=None):
     return 2.0 * h, centre, feet
 
 
-def numeric_partials(field: CoefficientField, x, y=None, h=None) -> CoefficientSample:
+def numeric_partials(field: CoefficientField, x, y, h=None) -> CoefficientSample:
     """Central-difference partials of a coefficient field (O(h**2)); the
     alpha, beta entries are exact samples at the center point.
 
-    Accepts a Point or separate x, y scalars/arrays.  Raises
-    NonFiniteCoefficient naming the quantity and the first node where
-    alpha, beta or a partial is NaN or infinite.
+    Raises NonFiniteCoefficient naming the quantity and the first node
+    where alpha, beta or a partial is NaN or infinite.
     """
-    if isinstance(x, Point):
-        x, y = x.x, x.y
     two_h, (alpha, beta), feet = central_stencil(field.values, x, y, h)
     (a_e, b_e), (a_w, b_w), (a_n, b_n), (a_s, b_s) = feet
     with np.errstate(all="ignore"):  # a non-finite partial raises below

@@ -7,7 +7,9 @@ scalar transport equation w_x + lambda*w_y = 0, which is solved exactly
 by w = f0(zeta) with zeta the characteristic coordinate and f0 the
 initial profile on the line x = 0.  The identification is invertible
 (u = Re(w) - (a/b)*Im(w), v = Im(w)/b with lambda = a + i*b), so both
-directions and their residual checks live here.
+directions and their residual checks live here.  Analytic partials
+travel one way only: the solver's wx, wy become the partials of (u, v)
+for the analytic system residual, while (u, v) -> w carries values.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from .fields import (
     DeltaFamily,
     DeltaField,
     GridSpec,
-    Point,
     Region,
     grid_axes,
     read_lattice_csv,
@@ -37,9 +38,9 @@ def characteristic_coordinate(fam: DeltaFamily, p):
 
     Constant along characteristics, equal to y on the initial line x = 0,
     and related to the spectral parameter by lambda = zeta + i*delta.
-    ``p`` may be a Point or an (x, y) pair of scalars/arrays.
+    ``p`` is an (x, y) pair of scalars/arrays.
     """
-    x, y = (p.x, p.y) if isinstance(p, Point) else p
+    x, y = p
     x = np.asarray(x, dtype=float)
     zeta = np.asarray(y, dtype=float) - 1j * fam.delta * x
     zeta *= 1.0 / (1.0 + x)
@@ -186,13 +187,18 @@ class _GridField:
     xs: np.ndarray
     ys: np.ndarray
 
-    def _check_grids(self, *grids):
+    def _check_grids(self, **grids):
         shape = (self.ys.size, self.xs.size)
-        if any(g.shape != shape for g in grids):
-            shapes = "/".join(str(g.shape) for g in grids)
+        if any(g.shape != shape for g in grids.values()):
+            shapes = "/".join(str(g.shape) for g in grids.values())
             raise ValueError(f"grid shapes {shapes} do not match {shape}")
-        if not all(np.all(np.isfinite(g)) for g in grids):
-            raise ValueError("field contains non-finite entries")
+        finite = np.logical_and.reduce([np.isfinite(g) for g in grids.values()])
+        if not finite.all():
+            # the first bad node (row-major), named by its first bad grid
+            j, i = divmod(int(np.argmin(finite)), shape[1])
+            name = next(n for n, g in grids.items() if not np.isfinite(g[j, i]))
+            raise ValueError(f"{name} has a non-finite entry at (x, y) = "
+                             f"({self.xs[i].item()!r}, {self.ys[j].item()!r})")
 
     @property
     def region(self) -> Region:
@@ -215,7 +221,7 @@ class ComplexField(_GridField):
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        self._check_grids(self.values)
+        self._check_grids(w=self.values)
 
     @property
     def has_partials(self) -> bool:
@@ -230,10 +236,9 @@ class RealPairField(_GridField):
     u: np.ndarray
     v: np.ndarray
     partials: tuple | None = None  # (ux, uy, vx, vy)
-    meta: dict = dc_field(default_factory=dict)
 
     def __post_init__(self):
-        self._check_grids(self.u, self.v)
+        self._check_grids(u=self.u, v=self.v)
 
     @property
     def has_partials(self) -> bool:
@@ -279,42 +284,16 @@ def solve_characteristic(
 
 def from_real_pair(fam: DeltaFamily, uv: RealPairField) -> ComplexField:
     """Spectral identification w = u + v*lambda = (u + a*v) + i*(b*v),
-    with lambda = a + i*b, a = y/(1+x), b = delta/(1+x)."""
+    with lambda = a + i*b, a = y/(1+x), b = delta/(1+x); values only."""
     x, y = uv.xs[None, :], uv.ys[:, None]
     inv = 1.0 / (1.0 + x)
-    b = fam.delta * inv
-    a = y * inv
-    v = uv.v
-    # Real and imaginary parts are written straight into the complex grids.
+    # Real and imaginary parts are written straight into the complex grid.
     w = np.empty(uv.u.shape, dtype=complex)
-    t = a * v
-    np.add(uv.u, t, out=w.real)
-    np.multiply(b, v, out=w.imag)
-    wx = wy = None
-    if uv.has_partials:
-        ux, uy, vx, vy = uv.partials
-        # wx = (ux + a_x*v + a*vx) + i*(b_x*v + b*vx), a_x = -(a*inv),
-        # b_x = -(b*inv); wy = (uy + inv*v + a*vy) + i*(b*vy), as a_y = inv
-        # and b_y = 0
-        t2 = a * vx
-        wx = np.empty_like(w)
-        np.multiply(a, inv, out=t)
-        np.negative(t, out=t)
-        t *= v
-        t += ux
-        np.add(t, t2, out=wx.real)
-        np.multiply(-(b * inv), v, out=t)
-        np.multiply(b, vx, out=t2)
-        np.add(t, t2, out=wx.imag)
-        wy = np.empty_like(w)
-        np.multiply(inv, v, out=t)
-        t += uy
-        np.multiply(a, vy, out=t2)
-        np.add(t, t2, out=wy.real)
-        np.multiply(b, vy, out=wy.imag)
-    meta = dict(uv.meta)
-    meta["delta"] = fam.delta
-    return ComplexField(uv.xs, uv.ys, w, wx=wx, wy=wy, meta=meta)
+    av = y * inv  # a
+    av *= uv.v
+    np.add(uv.u, av, out=w.real)
+    np.multiply(fam.delta * inv, uv.v, out=w.imag)
+    return ComplexField(uv.xs, uv.ys, w, meta={"delta": fam.delta})
 
 
 def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
@@ -354,9 +333,7 @@ def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
         vy = one_x * qy
         vy *= inv_delta
         partials = (ux, uy, vx, vy)
-    meta = dict(w.meta)
-    meta["delta"] = fam.delta
-    return RealPairField(w.xs, w.ys, u, v, partials=partials, meta=meta)
+    return RealPairField(w.xs, w.ys, u, v, partials=partials)
 
 
 # ---------------------------------------------------------------------------
@@ -565,20 +542,20 @@ def read_real_pair_csv(path) -> RealPairField:
     return RealPairField(xs, ys, u, v)
 
 
-def field_header(field) -> dict:
-    """JSON-serializable descriptor of a solution field."""
+def field_header(field: ComplexField) -> dict:
+    """JSON-serializable descriptor of a solution field w."""
     region = field.region
     grid = field.grid
     header = {
         "region": list(region.as_tuple()),
         "grid": [grid.nx, grid.ny],
-        "kind": "w" if isinstance(field, ComplexField) else "uv",
+        "kind": "w",
     }
     header.update(field.meta)
     return header
 
 
-def write_field_header(field, path):
+def write_field_header(field: ComplexField, path):
     with open(path, "w") as fh:
         json.dump(field_header(field), fh, indent=2)
         fh.write("\n")

@@ -182,6 +182,17 @@ def test_solve_rejects_bad_f0(capsys):
     assert "poly:" in err  # grammar help in the message
 
 
+def test_solve_names_the_first_non_finite_node(tmp_path, capsys):
+    # exp(400*zeta) overflows where 400*y/(1+x) > 709: first at the corner
+    # x = -0.5, y = 1 of the window's last grid row
+    with pytest.warns(RuntimeWarning):
+        code, _, err = run(capsys, "solve", "--delta", "1", "--f0", "exp:400,0",
+                           "--grid", "9,9", "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "w has a non-finite entry at (x, y) = (-0.5, 1.0)" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_verify_solution_passes(solved, capsys):
     code, out, _ = run(capsys, "verify", "--delta", "1",
                        "--uv-csv", f"{solved}_uv.csv")
@@ -298,6 +309,7 @@ def test_beltrami_zero_budget(capsys):
 def test_beltrami_bad_n_exits_1(capsys):
     code, _, err = run(capsys, "beltrami", "--delta", "1", "--n", "100")
     assert code == 1
+    assert "power of two" in err
 
 
 def test_beltrami_trace_csv(tmp_path, capsys):

@@ -5,13 +5,14 @@ from rigidpde.analysis import burgers_residual
 from rigidpde.errors import DomainError, NonFiniteCoefficient, StencilOutOfDomain
 from rigidpde.fields import (
     REFERENCE_WINDOW,
+    X_MIN,
     CallableField,
+    CoefficientField,
     DeltaFamily,
     DeltaField,
     GridSpec,
     GridTableField,
     PerturbedDeltaField,
-    Point,
     Region,
     aligned_gridspec,
     grid_axes,
@@ -20,14 +21,15 @@ from rigidpde.fields import (
 )
 
 
-def test_point_rejects_degenerate_half_plane():
+def test_check_domain_rejects_degenerate_half_plane():
+    field = CoefficientField()
     with pytest.raises(DomainError):
-        Point(-1.5, 0.0)
+        field.check_domain(-1.5, 0.0)
     with pytest.raises(DomainError):
-        Point(-1.0, 0.0)
+        field.check_domain(-1.0, 0.0)
     with pytest.raises(DomainError):
-        Point(-1.0 + 1e-13, 0.0)  # inside the guard margin
-    Point(-0.999, 3.0)  # fine
+        field.check_domain(-1.0 + 1e-13, 0.0)  # inside the guard margin
+    field.check_domain(-0.999, 3.0)  # fine
 
 
 def test_delta_family_requires_positive_delta():
@@ -99,8 +101,6 @@ def test_numeric_partials_match_closed_form():
         assert abs(getattr(fd, name) - getattr(exact, name)) < 1e-6
     assert fd.alpha == exact.alpha  # center samples are exact
     assert fd.beta == exact.beta
-    via_point = numeric_partials(bare, Point(0.0, 0.0), h=1e-4)
-    assert via_point.alpha_x == fd.alpha_x
 
 
 def test_numeric_partials_constant_field():
@@ -394,6 +394,41 @@ def test_delta_field_at_eps_zero_is_the_family_bit_for_bit(delta):
                               cs.beta_x, cs.beta_y), sample):
             assert_same_bits(got, want)
         assert_same_bits(field.spectral(x, y), spectral[0])
+
+
+def two_pass_spectral(delta, x, y):
+    """lambda of the family written part by part: Re = (y + 0.0)/(1+x),
+    Im = delta/(1+x)."""
+    y = np.asarray(y, dtype=float)
+    inv = 1.0 / (1.0 + np.asarray(x, dtype=float))
+    lam = np.empty(np.broadcast_shapes(inv.shape, y.shape), dtype=complex)
+    np.multiply(y + 0.0, inv, out=lam.real)
+    lam.imag = delta * inv
+    return lam[()]
+
+
+def test_spectral_at_eps_zero_matches_the_two_pass_construction():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    coords = st.lists(st.floats(-1e296, 1e296), min_size=1, max_size=12)
+
+    @hyp.settings(max_examples=300, deadline=None, derandomize=True)
+    @hyp.given(delta=st.floats(1e-200, 1e290), ys=coords,
+               xs=st.lists(st.floats(X_MIN, 1e300), min_size=1, max_size=12),
+               seed=st.integers(0, 2**32 - 1))
+    def check(delta, xs, ys, seed):
+        field = DeltaField(DeltaFamily(delta))
+        # the drawn coordinates, signed and subnormal zeros, and random
+        # points of every magnitude
+        rng = np.random.default_rng(seed)
+        ys = np.concatenate([ys, [0.0, -0.0, 5e-324, -2.2e-308],
+                             rng.standard_normal(64) * 10.0 ** rng.uniform(-300, 290, 64)])
+        xs = np.concatenate([xs, rng.uniform(-0.999, 3.0, 64)])
+        for x, y in ((xs[None, :], ys[:, None]),
+                     (np.float64(xs[0]), np.float64(ys[0]))):
+            assert_same_bits(field.spectral(x, y), two_pass_spectral(delta, x, y))
+
+    check()
 
 
 @pytest.mark.parametrize("eps", (1e-3, 1e-2, 0.1))

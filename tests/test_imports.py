@@ -1,14 +1,16 @@
-"""Every name a package module imports is used in that module, so that a
-deletion leaves no orphaned import behind (``__init__.py`` re-exports
-its imports and is skipped)."""
+"""Every name a package module, test file or demo imports is used in that
+file, so that a deletion leaves no orphaned import behind (``__init__.py``
+re-exports its imports and is skipped)."""
 
 import ast
 import pathlib
 
 import pytest
 
-SRC = pathlib.Path(__file__).resolve().parents[1] / "src" / "rigidpde"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "rigidpde"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+SCRIPTS = sorted([*ROOT.glob("tests/*.py"), *ROOT.glob("demos/*.py")])
 
 
 def unused_imports(source: str):
@@ -31,6 +33,8 @@ def test_the_check_sees_an_orphaned_import():
     assert unused_imports(source) == ["grid_axes", "json"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+@pytest.mark.parametrize(
+    "path", MODULES + SCRIPTS,
+    ids=lambda p: p.name if p.parent == SRC else str(p.relative_to(ROOT)))
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
