@@ -75,7 +75,6 @@ from .beltrami import (
     TorusGrid,
     beurling_transform,
     cauchy_transform,
-    contraction_estimate,
     delta_sweep,
     family_mu_on_torus,
     solve_beltrami_neumann,

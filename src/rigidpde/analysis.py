@@ -262,11 +262,10 @@ def scan_region(
     field: CoefficientField,
     region: Region,
     grid: GridSpec,
-    rigidity_tol: float | None = None,
 ) -> RegionScanReport:
     """Grid scan of a coefficient field: inf/sup of |mu|, the condition
     number from the grid supremum, max |A| and |B|, and the rigidity
-    verdict max(|A|,|B|) < rigidity_tol.
+    verdict max(|A|,|B|) < rigidity_tol (set by the kind of partials).
 
     Raises NotElliptic with the node location if any node fails the
     discriminant test, InvalidBranch if the field's closed-form lambda
@@ -282,9 +281,8 @@ def scan_region(
     are exact and order-independent, so the report does not depend on the
     chunk size.
     """
-    if rigidity_tol is None:
-        rigidity_tol = (RIGIDITY_TOL_CLOSED_FORM if field.closed_form_partials
-                        else RIGIDITY_TOL_FINITE_DIFF)
+    rigidity_tol = (RIGIDITY_TOL_CLOSED_FORM if field.closed_form_partials
+                    else RIGIDITY_TOL_FINITE_DIFF)
     xs, ys = grid_axes(region, grid)
     rows = min(max(1, SCAN_CHUNK_NODES // xs.size), ys.size)  # per chunk
     x = xs[None, :]

@@ -24,8 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .errors import DomainError
-from .fields import REFERENCE_WINDOW, DeltaFamily, DeltaField, Region
+from .fields import REFERENCE_WINDOW, DeltaFamily, DeltaField
 
 # Iteration defaults.  The budget is deliberately modest: with the default
 # grid and truncation the iteration still converges near delta = 0.01
@@ -112,23 +111,13 @@ def _ramp(v, lo, hi, margin):
         smoothstep(((hi + margin) - v) / margin)
 
 
-def family_mu_on_torus(
-    fam: DeltaFamily,
-    grid: TorusGrid,
-    inner: Region = REFERENCE_WINDOW,
-    margin: float = DEFAULT_TRUNCATION_MARGIN,
-):
+def family_mu_on_torus(fam: DeltaFamily, grid: TorusGrid):
     """The family's Beltrami coefficient on the torus, smoothly truncated
-    to compact support (1 on the inner window, 0 outside the margin ring).
-
-    The support must stay inside the half-plane x > -1 and inside the box.
+    to compact support: 1 on the reference window, 0 outside a ring of
+    width DEFAULT_TRUNCATION_MARGIN around it, which stays inside the
+    half-plane x > -1.  The support must fit inside the box.
     """
-    if not (margin > 0):
-        raise ValueError(f"margin must be > 0, got {margin}")
-    if inner.x_min - margin <= -1.0:
-        raise DomainError(
-            f"truncation ring reaches x = {inner.x_min - margin:.3g} <= -1"
-        )
+    inner, margin = REFERENCE_WINDOW, DEFAULT_TRUNCATION_MARGIN
     if (max(abs(inner.x_min), abs(inner.x_max)) + margin >= grid.L
             or max(abs(inner.y_min), abs(inner.y_max)) + margin >= grid.L):
         raise ValueError("truncated support does not fit inside the torus box")
@@ -278,19 +267,10 @@ def solve_beltrami_neumann(problem: BeltramiProblem):
     return w, trace
 
 
-def contraction_estimate(sup_mu: float, p: float = 2.0) -> float:
-    """Contraction factor estimate sup|mu| * (p - 1) of the Neumann series
-    on L^p, using the operator norm p - 1 of S for p >= 2."""
-    if p < 2.0:
-        raise ValueError(f"p must be >= 2 (duality case out of scope), got {p}")
-    if sup_mu < 0.0:
-        raise ValueError(f"sup|mu| must be >= 0, got {sup_mu}")
-    return float(sup_mu) * (p - 1.0)
-
-
 def classify_contraction(estimate: float) -> str:
     """Label a contraction estimate: contractive, near-divergent (at least
-    NEAR_DIVERGENT), or divergent."""
+    NEAR_DIVERGENT), or divergent.  On L^2, where S is an isometry, the
+    Neumann series contracts by sup|mu| itself."""
     if estimate >= 1.0:
         return "divergent"
     if estimate >= NEAR_DIVERGENT:
@@ -298,11 +278,11 @@ def classify_contraction(estimate: float) -> str:
     return "contractive"
 
 
-def delta_sweep(deltas, grid: TorusGrid | None = None):
-    """Run the Neumann baseline for several deltas with a fixed grid and
+def delta_sweep(deltas):
+    """Run the Neumann baseline for several deltas on the 256^2 torus with
     the default truncation, tolerance and budget; returns
     {delta: IterationTrace}."""
-    grid = grid or TorusGrid(256)
+    grid = TorusGrid(256)
     out = {}
     for d in deltas:
         mu = family_mu_on_torus(DeltaFamily(d), grid)

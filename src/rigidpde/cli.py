@@ -2,18 +2,19 @@
 
 Subcommands
 -----------
-analyze   scan a coefficient field over a rectangle; exit 0 when elliptic
-          everywhere (2 when a node fails the discriminant test, 1 when a
-          quantity is NaN or infinite at a node, with the node printed)
+analyze   scan a rectangle on a grid snapped so the axes are nodes; exit 0
+          when elliptic everywhere (2 when a node fails the discriminant
+          test, 1 when a quantity is NaN or infinite at a node, with the
+          node printed)
 table1    the built-in degeneration table of the delta family over the
           reference window [-1/2,1]x[-1,1]
 solve     characteristic solve for an initial profile; writes the w and
           (u,v) CSV grids plus a JSON header
-verify    residual check of a (u,v) or w grid file; exit 0 iff the max
-          residual, relative to the largest term it cancels, beats the
-          threshold (2 otherwise)
-beltrami  Neumann-iteration baseline for one delta; emits the iteration
-          trace CSV and a verdict line
+verify    residual check of a (u,v) or w grid file by central differences
+          on its own grid step; exit 0 iff the max residual, relative to
+          the largest term it cancels, beats the threshold (2 otherwise)
+beltrami  Neumann-iteration baseline for one delta on the default torus;
+          emits the iteration trace CSV and a verdict line
 bench     sweep deltas: characteristic timing/residual, condition number,
           optional baseline columns
 
@@ -74,8 +75,7 @@ DEFAULT_VERIFY_THRESHOLD = 0.05  # relative: fd truncation of exact
 _WINDOW = ",".join(f"{v:g}" for v in REFERENCE_WINDOW.as_tuple())
 
 _NUMBERISH = re.compile(r"^-[0-9.][0-9.,eE+-]*$")
-_VALUE_OPTS = {"--region", "--grid", "--deltas", "--delta", "--L", "--tol",
-               "--threshold", "--h", "--margin"}
+_VALUE_OPTS = {"--region", "--grid", "--deltas", "--delta", "--threshold"}
 
 
 def _merge_negative_values(argv):
@@ -137,11 +137,10 @@ def _load_field(args):
 def cmd_analyze(args) -> int:
     field = _load_field(args)
     region = _parse_region(args.region)
-    grid = _parse_grid(args.grid)
-    if args.align:
-        grid = aligned_gridspec(region, grid.nx, grid.ny)
+    nominal = _parse_grid(args.grid)
+    grid = aligned_gridspec(region, nominal.nx, nominal.ny)
     try:
-        report = scan_region(field, region, grid, rigidity_tol=args.rigidity_tol)
+        report = scan_region(field, region, grid)
     except NotElliptic as exc:
         print(f"not elliptic: {exc}", file=sys.stderr)
         return 2
@@ -192,7 +191,7 @@ def cmd_verify(args) -> int:
 
     if args.uv_csv:
         uv = read_real_pair_csv(args.uv_csv)
-        report = system_residual(field, uv, mode="fd", h=args.h)
+        report = system_residual(field, uv, mode="fd")
         rel = report.relative
         print(f"mode: fd (hx={report.hx:.6g}, hy={report.hy:.6g}, "
               "boundary rim excluded)")
@@ -200,9 +199,9 @@ def cmd_verify(args) -> int:
         print(f"max |r2| = {report.max_r2:.6g}")
     else:
         w = read_complex_csv(args.w_csv)
-        res = transport_residual(field, w, mode="fd", h=args.h)
+        res = transport_residual(field, w, mode="fd")
         max_res = float(np.abs(res).max())
-        rel = transport_relative(w, res, h=args.h)
+        rel = transport_relative(w, res)
         print("mode: fd (transport residual, boundary rim excluded)")
         print(f"max |w_x + lambda*w_y| = {max_res:.6g}")
     print(f"relative residual = {rel:.6g} (over the largest cancelled term)")
@@ -213,25 +212,25 @@ def cmd_verify(args) -> int:
 
 
 def cmd_beltrami(args) -> int:
-    grid = bl.TorusGrid(args.n, args.L)
-    fam = DeltaFamily(args.delta)
-    mu = bl.family_mu_on_torus(fam, grid, margin=args.margin)
-    problem = bl.BeltramiProblem(mu, grid, tol=args.tol, max_iter=args.max_iter)
+    grid = bl.TorusGrid(args.n)
+    mu = bl.family_mu_on_torus(DeltaFamily(args.delta), grid)
+    problem = bl.BeltramiProblem(mu, grid, max_iter=args.max_iter)
     _, trace = bl.solve_beltrami_neumann(problem)
     _emit(trace.to_csv(), args.out)
-    est = bl.contraction_estimate(problem.sup_mu)
+    sup_mu = problem.sup_mu
     rate = trace.observed_rate()
     descriptor = {
-        "n": args.n, "L": args.L, "delta": args.delta, "margin": args.margin,
-        "tol": args.tol, "max_iter": args.max_iter, "sup_mu": problem.sup_mu,
+        "n": args.n, "L": grid.L, "delta": args.delta,
+        "margin": bl.DEFAULT_TRUNCATION_MARGIN, "tol": problem.tol,
+        "max_iter": args.max_iter, "sup_mu": sup_mu,
         "verdict": trace.verdict, "iterations": trace.iterations,
         "observed_rate": rate,
     }
     print(json.dumps(descriptor))
     observed = "n/a" if rate is None else f"{rate:.6g}"
-    print(f"sup|mu| = {problem.sup_mu:.6g} "
-          f"(L2 contraction estimate {est:.6g}, {bl.classify_contraction(est)}; "
-          f"observed rate {observed})")
+    # S is an L2 isometry, so the L2 contraction estimate is sup|mu| itself
+    print(f"sup|mu| = {sup_mu:.6g} (L2 contraction estimate {sup_mu:.6g}, "
+          f"{bl.classify_contraction(sup_mu)}; observed rate {observed})")
     print(f"verdict: {trace.summary()}")
     return 0
 
@@ -282,12 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_source(p)
     p.add_argument("--region", default=_WINDOW,
                    help="x_min,x_max,y_min,y_max (default: reference window)")
-    p.add_argument("--grid", default=nominal, help="nx,ny scan resolution")
-    p.add_argument("--align", action="store_true", default=True,
-                   help="snap node counts so the coordinate axes are nodes")
-    p.add_argument("--no-align", dest="align", action="store_false")
-    p.add_argument("--rigidity-tol", type=float, default=None,
-                   help="override the rigidity verdict tolerance")
+    p.add_argument("--grid", default=nominal,
+                   help="nominal nx,ny, snapped so the axes are nodes")
     p.add_argument("--json", dest="json", action="store_true",
                    help="emit JSON instead of CSV")
     p.add_argument("--csv", dest="json", action="store_false",
@@ -316,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_source(p)
     p.add_argument("--uv-csv", default=None, help="x,y,u,v grid file")
     p.add_argument("--w-csv", default=None, help="x,y,re,im grid file")
-    p.add_argument("--h", type=float, default=None,
-                   help="fd step (integer multiple of the grid spacing)")
     p.add_argument("--threshold", type=float, default=DEFAULT_VERIFY_THRESHOLD,
                    help="pass iff the relative residual < threshold")
     p.set_defaults(func=cmd_verify)
@@ -325,9 +318,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("beltrami", help="Neumann-iteration baseline run")
     p.add_argument("--delta", type=float, required=True)
     p.add_argument("--n", type=int, default=256, help="grid nodes per axis")
-    p.add_argument("--L", type=float, default=4.0, help="torus box half-width")
-    p.add_argument("--margin", type=float, default=bl.DEFAULT_TRUNCATION_MARGIN)
-    p.add_argument("--tol", type=float, default=bl.DEFAULT_TOL)
     p.add_argument("--max-iter", type=int, default=bl.DEFAULT_MAX_ITER)
     p.add_argument("--out", default=None, help="trace CSV path (default stdout)")
     p.set_defaults(func=cmd_beltrami)
@@ -340,7 +330,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=int)
     p.add_argument("--beltrami", action="store_true", default=None,
                    help="include the Neumann baseline columns")
-    p.add_argument("--no-beltrami", dest="beltrami", action="store_false")
     p.add_argument("--json", dest="json", action="store_true")
     p.add_argument("--csv", dest="json", action="store_false")
     p.add_argument("--out", default=None)

@@ -261,18 +261,21 @@ def solve_characteristic(
     xs, ys = grid_axes(region, grid)
     x, y = xs[None, :], ys[:, None]
     zeta = characteristic_coordinate(fam, (x, y))
-    w, df = f0.value_and_derivative(zeta, fam.delta)
-    w = np.asarray(w, dtype=complex)
-    df = np.asarray(df, dtype=complex)
-    del zeta  # f0 may return it (or a view of it), so it is never overwritten
-    # zeta_x = -lambda/(1+x), zeta_y = 1/(1+x): wx = df*(-(lambda*inv)),
-    # wy = df*inv
-    inv = 1.0 / (1.0 + x)
-    wx = DeltaField(fam).spectral(x, y)
-    wx *= inv
-    np.negative(wx, out=wx)
-    np.multiply(df, wx, out=wx)
-    wy = df * inv
+    # A profile that overflows leaves inf/nan in w, which ComplexField
+    # rejects naming the first such node, so numpy need not warn here.
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, df = f0.value_and_derivative(zeta, fam.delta)
+        w = np.asarray(w, dtype=complex)
+        df = np.asarray(df, dtype=complex)
+        del zeta  # f0 may return it (or a view of it): never overwritten
+        # zeta_x = -lambda/(1+x), zeta_y = 1/(1+x): wx = df*(-(lambda*inv)),
+        # wy = df*inv
+        inv = 1.0 / (1.0 + x)
+        wx = DeltaField(fam).spectral(x, y)
+        wx *= inv
+        np.negative(wx, out=wx)
+        np.multiply(df, wx, out=wx)
+        wy = df * inv
     meta = {
         "delta": fam.delta,
         "f0": f0.descriptor(),
@@ -384,30 +387,15 @@ def _grid_spacings(xs, ys):
     return float(np.mean(hx)), float(np.mean(hy))
 
 
-def _stride_for(h, hx, hy):
-    """Map a requested step onto integer stencil strides per axis."""
-    if h is None:
-        return 1, 1
-    kx, ky = h / hx, h / hy
-    sx, sy = int(round(kx)), int(round(ky))
-    if (sx < 1 or sy < 1 or abs(kx - sx) > 1e-9 * max(1.0, kx)
-            or abs(ky - sy) > 1e-9 * max(1.0, ky)):
-        raise ValueError(
-            f"step h = {h:g} is not an integer multiple of the grid spacings "
-            f"({hx:g}, {hy:g})"
-        )
-    return sx, sy
-
-
-def _central_diffs(f, hx, hy, sx, sy):
-    """Interior central differences with strides (sx, sy); returns the
-    derivative grids restricted to the shared interior window."""
-    if f.shape[0] <= 2 * sy or f.shape[1] <= 2 * sx:
+def _central_diffs(f, hx, hy):
+    """Interior central differences; returns the derivative grids
+    restricted to the interior window (a one-node rim excluded)."""
+    if f.shape[0] <= 2 or f.shape[1] <= 2:
         raise StencilOutOfDomain(
-            f"grid {f.shape} too small for a stride ({sx}, {sy}) stencil"
+            f"grid {f.shape} too small for a stride (1, 1) stencil"
         )
-    fx = (f[sy:-sy, 2 * sx:] - f[sy:-sy, :-2 * sx]) / (2.0 * sx * hx)
-    fy = (f[2 * sy:, sx:-sx] - f[:-2 * sy, sx:-sx]) / (2.0 * sy * hy)
+    fx = (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hx)
+    fy = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hy)
     return fx, fy
 
 
@@ -415,20 +403,19 @@ def system_residual(
     field: CoefficientField,
     uv: RealPairField,
     mode: str = "fd",
-    h: float | None = None,
 ) -> ResidualReport:
     """Residuals of the real system r1 = u_x - alpha*v_y,
     r2 = v_x + u_y - beta*v_y on the grid of ``uv``.
 
     mode="fd" uses central differences of the stored grids (a one-node
-    rim per stride is excluded); mode="analytic" requires
+    rim is excluded); mode="analytic" requires
     the field to carry closed-form partial grids.
 
     In fd mode the report's ``relative`` is the larger of max|r1| and
     max|r2|, each over the largest maximum of the terms it cancels: u_x
     and alpha*v_y for r1, v_x, u_y and beta*v_y for r2.  Each term counts
     as at least the rounding its central difference carries,
-    _ROUNDING*max|c|*max(|u|, |v|)/h for a term c*f_x with step h, so
+    _ROUNDING*max|c|*max(|u|, |v|)/h for a term c*f_x with grid step h, so
     data whose partials are all rounding noise (lpow:1 is u = 0, v = 1)
     does not read as relative 1.  Adding a constant to u or v raises
     that floor by ~1e-14 of the constant only.
@@ -441,11 +428,9 @@ def system_residual(
         hx = hy = None
     elif mode == "fd":
         hx, hy = _grid_spacings(xs, ys)
-        sx, sy = _stride_for(h, hx, hy)
-        ux, uy = _central_diffs(uv.u, hx, hy, sx, sy)
-        vx, vy = _central_diffs(uv.v, hx, hy, sx, sy)
-        xs, ys = xs[sx:-sx], ys[sy:-sy]
-        hx, hy = sx * hx, sy * hy
+        ux, uy = _central_diffs(uv.u, hx, hy)
+        vx, vy = _central_diffs(uv.v, hx, hy)
+        xs, ys = xs[1:-1], ys[1:-1]
     else:
         raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
     alpha, beta = field.values(xs[None, :], ys[:, None])
@@ -470,7 +455,6 @@ def transport_residual(
     field: CoefficientField,
     w: ComplexField,
     mode: str = "fd",
-    h: float | None = None,
 ):
     """Residual w_x + lambda*w_y of the scalar transport equation, with
     lambda taken from the coefficient field (closed form when the field
@@ -485,9 +469,8 @@ def transport_residual(
         wx, wy, xs, ys = w.wx, w.wy, w.xs, w.ys
     elif mode == "fd":
         hx, hy = _grid_spacings(w.xs, w.ys)
-        sx, sy = _stride_for(h, hx, hy)
-        wx, wy = _central_diffs(w.values, hx, hy, sx, sy)
-        xs, ys = w.xs[sx:-sx], w.ys[sy:-sy]
+        wx, wy = _central_diffs(w.values, hx, hy)
+        xs, ys = w.xs[1:-1], w.ys[1:-1]
     else:
         raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
     res = spectral_lambda(field, xs[None, :], ys[:, None])
@@ -496,7 +479,7 @@ def transport_residual(
     return res
 
 
-def transport_relative(w: ComplexField, res, h: float | None = None) -> float:
+def transport_relative(w: ComplexField, res) -> float:
     """max|res| over the larger maximum of the two terms it cancels, for
     ``res`` the fd transport residual of ``w`` (as transport_residual
     returns it): w_x and lambda*w_y = res - w_x.
@@ -508,10 +491,9 @@ def transport_relative(w: ComplexField, res, h: float | None = None) -> float:
     never the reverse.
     """
     hx, hy = _grid_spacings(w.xs, w.ys)
-    sx, sy = _stride_for(h, hx, hy)
-    wx, _ = _central_diffs(w.values, hx, hy, sx, sy)
+    wx, _ = _central_diffs(w.values, hx, hy)
     lam_wy = res - wx
-    rounding = _ROUNDING * float(np.abs(w.values).max()) / min(sx * hx, sy * hy)
+    rounding = _ROUNDING * float(np.abs(w.values).max()) / min(hx, hy)
     return _relative(float(np.abs(res).max()),
                      [np.abs(wx).max(), np.abs(lam_wy).max(), rounding])
 

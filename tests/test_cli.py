@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import re
@@ -6,9 +7,10 @@ import numpy as np
 import pytest
 
 from rigidpde import bench as bench_mod
-from rigidpde.cli import main
+from rigidpde.cli import _VALUE_OPTS, build_parser, main
 from rigidpde.fields import (
     DeltaFamily,
+    DeltaField,
     GridSpec,
     PerturbedDeltaField,
     Region,
@@ -79,6 +81,74 @@ def test_analyze_field_csv_detects_broken_rigidity(tmp_path, capsys):
     assert report["rigid"] is False
     assert report["partials"] == "finite-difference"
     assert max(report["max_abs_A"], report["max_abs_B"]) > 1e-3
+
+
+# stdout of analyze, recorded before its --align/--no-align/--rigidity-tol
+# options were removed: the grid is snapped and the tolerance follows the
+# field's partials
+ANALYZE_GOLDEN = """{
+  "delta": 0.001,
+  "region": [
+    -0.5,
+    1.0,
+    -1.0,
+    1.0
+  ],
+  "grid": [
+    103,
+    101
+  ],
+  "inf_mu": 0.996007984031936,
+  "sup_mu": 0.9992003203836415,
+  "kappa": 6250008.000002322,
+  "max_abs_A": 0.0,
+  "max_abs_B": 0.0,
+  "rigid": true,
+  "rigidity_tol": 1e-10,
+  "partials": "closed-form"
+}
+"""
+ANALYZE_TABLE_GOLDEN = """{
+  "delta": null,
+  "region": [
+    -0.5,
+    1.0,
+    -1.0,
+    1.0
+  ],
+  "grid": [
+    49,
+    51
+  ],
+  "inf_mu": 0.2494348293263986,
+  "sup_mu": 0.7953997721176609,
+  "kappa": 77.0034361491138,
+  "max_abs_A": 0.7692183702448279,
+  "max_abs_B": 0.5929259637535909,
+  "rigid": false,
+  "rigidity_tol": 0.0001,
+  "partials": "finite-difference"
+}
+"""
+
+
+def test_analyze_json_is_byte_identical_to_golden(capsys):
+    code, out, _ = run(capsys, "analyze", "--delta", "1e-3",
+                       "--grid", "101,101", "--json")
+    assert code == 0
+    assert out == ANALYZE_GOLDEN
+
+
+def test_analyze_field_csv_json_is_byte_identical_to_golden(tmp_path, capsys):
+    # a 61^2 table of the family, padded so the fd stencils stay inside;
+    # its fd obstruction reads O(1) (the fd verdict defect), pinned as is
+    path = tmp_path / "fam.csv"
+    write_field_csv(DeltaField(DeltaFamily(0.3)), Region(-0.6, 1.1, -1.1, 1.1),
+                    GridSpec(61, 61), path)
+    code, out, _ = run(capsys, "analyze", "--field-csv", str(path),
+                       "--grid", "51,51", "--json")
+    assert code == 0
+    assert out == ANALYZE_TABLE_GOLDEN
 
 
 def test_analyze_not_elliptic_exits_2(tmp_path, capsys):
@@ -185,9 +255,8 @@ def test_solve_rejects_bad_f0(capsys):
 def test_solve_names_the_first_non_finite_node(tmp_path, capsys):
     # exp(400*zeta) overflows where 400*y/(1+x) > 709: first at the corner
     # x = -0.5, y = 1 of the window's last grid row
-    with pytest.warns(RuntimeWarning):
-        code, _, err = run(capsys, "solve", "--delta", "1", "--f0", "exp:400,0",
-                           "--grid", "9,9", "--out", str(tmp_path / "o"))
+    code, _, err = run(capsys, "solve", "--delta", "1", "--f0", "exp:400,0",
+                       "--grid", "9,9", "--out", str(tmp_path / "o"))
     assert code == 1
     assert "w has a non-finite entry at (x, y) = (-0.5, 1.0)" in err
     assert list(tmp_path.iterdir()) == []
@@ -290,6 +359,35 @@ def test_verify_rejects_a_shifted_non_solution(tmp_path, capsys):
     assert code == 2 and out.splitlines()[-1] == "threshold 0.05: FAIL"
 
 
+# stdout of verify for `solve --delta 1e-4 --f0 lpow:2`, recorded before
+# verify's --h option was removed
+VERIFY_GOLDEN = {
+    "uv": """mode: fd (hx=0.00585938, hy=0.0078125, boundary rim excluded)
+max |r1| = 0.00408215
+max |r2| = 0.00104056
+relative residual = 0.000268314 (over the largest cancelled term)
+threshold 0.05: pass
+""",
+    "w": """mode: fd (transport residual, boundary rim excluded)
+max |w_x + lambda*w_y| = 0.00408215
+relative residual = 0.000268314 (over the largest cancelled term)
+threshold 0.05: pass
+""",
+}
+
+
+def test_verify_stdout_is_byte_identical_to_golden(tmp_path, capsys):
+    base = tmp_path / "s"
+    assert main(["solve", "--delta", "1e-4", "--f0", "lpow:2",
+                 "--out", str(base)]) == 0
+    capsys.readouterr()
+    for kind, golden in VERIFY_GOLDEN.items():
+        code, out, _ = run(capsys, "verify", "--delta", "1e-4",
+                           f"--{kind}-csv", f"{base}_{kind}.csv")
+        assert code == 0
+        assert out == golden
+
+
 def test_verify_malformed_csv_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.csv"
     path.write_text("x,y,u\n0,0,1\n")
@@ -345,6 +443,17 @@ def test_beltrami_trace_and_descriptor_are_byte_identical_to_golden(tmp_path, ca
     r = [float(line.split(",")[1]) for line in trace.read_text().splitlines()[-11:]]
     assert rate == pytest.approx((r[-1] / r[0]) ** 0.1, rel=1e-5)
     assert f"near-divergent; observed rate {rate:.6g})" in out
+
+
+def test_beltrami_verdict_lines_are_byte_identical_to_golden(capsys):
+    # recorded while the estimate came from contraction_estimate(sup_mu)
+    code, out, _ = run(capsys, "beltrami", "--delta", "0.1", "--n", "256",
+                       "--out", "-")
+    assert code == 0
+    assert out.splitlines()[-2:] == [
+        "sup|mu| = 0.923548 (L2 contraction estimate 0.923548, "
+        "near-divergent; observed rate 0.90807)",
+        "verdict: converged after 146 iterations"]
 
 
 def test_beltrami_one_sweep_has_no_observed_rate(capsys):
@@ -426,3 +535,38 @@ def test_negative_value_tokens_parse_without_equals():
     assert "--region=-0.5,1,-1,1" in merged
     # unrelated tokens pass through untouched
     assert _merge_negative_values(["solve", "--out", "-"]) == ["solve", "--out", "-"]
+
+
+# --- option census -----------------------------------------------------------
+# Every option has a caller (a test, demo, benchmark workload or README
+# line); adding or removing one means editing this census on purpose.
+OPTION_CENSUS = {
+    "analyze": ["--delta", "--field-csv", "--region", "--grid", "--json",
+                "--csv", "--out"],
+    "table1": ["--grid", "--json", "--csv", "--out"],
+    "solve": ["--delta", "--f0", "--region", "--grid", "--out"],
+    "verify": ["--delta", "--field-csv", "--uv-csv", "--w-csv", "--threshold"],
+    "beltrami": ["--delta", "--n", "--max-iter", "--out"],
+    "bench": ["--config", "--deltas", "--region", "--grid", "--f0",
+              "--repetitions", "--beltrami", "--json", "--csv", "--out"],
+}
+
+
+def _subparsers():
+    (sub,) = [a for a in build_parser()._actions
+              if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices
+
+
+def test_cli_options_match_the_census():
+    got = {name: [o for a in p._actions for o in a.option_strings
+                  if o not in ("-h", "--help")]
+           for name, p in _subparsers().items()}
+    assert got == OPTION_CENSUS
+    assert sum(map(len, got.values())) == 35
+
+
+def test_value_opts_are_value_taking_options():
+    taking = {o for p in _subparsers().values() for a in p._actions
+              if a.option_strings and a.nargs != 0 for o in a.option_strings}
+    assert _VALUE_OPTS <= taking

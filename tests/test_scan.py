@@ -47,11 +47,10 @@ TABLE_REGION = Region(W.x_min - 0.01, W.x_max + 0.01,
                       W.y_min - 0.01, W.y_max + 0.01)
 
 
-def reference_scan(field, region, grid, rigidity_tol=None, rows=128):
+def reference_scan(field, region, grid, rows=128):
     """The meshgrid scan that scan_region replaced, kept as the reference
     its reports must match exactly."""
-    if rigidity_tol is None:
-        rigidity_tol = 1e-10 if field.closed_form_partials else 1e-4
+    rigidity_tol = 1e-10 if field.closed_form_partials else 1e-4
     xs, ys = grid_axes(region, grid)
     inf_mu, sup_mu = np.inf, -np.inf
     max_a, max_b = 0.0, 0.0

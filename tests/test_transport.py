@@ -468,18 +468,6 @@ def test_equivalence_both_directions():
         assert np.abs(res).max() < 2e3 * hx**2
 
 
-def test_fd_stride_control():
-    fam = DeltaFamily(1.0)
-    w = solve_characteristic(fam, LambdaPower(2), Region(0.0, 1.0, 0.0, 1.0),
-                             GridSpec(41, 41))
-    uv = to_real_pair(fam, w)
-    h = 2.0 * (w.xs[1] - w.xs[0])
-    rep = system_residual(DeltaField(fam), uv, mode="fd", h=h)
-    assert rep.hx == pytest.approx(h)
-    with pytest.raises(ValueError):
-        system_residual(DeltaField(fam), uv, mode="fd", h=1.7 * (w.xs[1] - w.xs[0]))
-
-
 # --- reference: the full-meshgrid formulas -------------------------------------
 # The kernels work on broadcast axes and build their grids in place; these
 # are the meshgrid formulas they replaced, kept as the reference.  Real
