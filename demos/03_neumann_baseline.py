@@ -23,7 +23,7 @@ from rigidpde import (
 )
 from rigidpde.beltrami import classify_contraction
 
-grid = TorusGrid(256, L=4.0)
+grid = TorusGrid(256)  # the cell [-4, 4)^2
 
 print("=" * 72)
 print("1. Sanity checks of the discrete singular integral")

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import REFERENCE_WINDOW, DeltaFamily, DeltaField
+from .fields import REFERENCE_WINDOW, DeltaFamily, DeltaField, _raise_non_finite
 
 # Iteration defaults.  The budget is deliberately modest: with the default
 # grid and truncation the iteration still converges near delta = 0.01
@@ -44,17 +44,15 @@ VERDICT_MAX_ITER = "max-iter-reached"
 
 @dataclass(frozen=True)
 class TorusGrid:
-    """Uniform n x n grid on the square cell [-L, L)^2 with periodic
-    topology; n must be a power of two >= 16."""
+    """Uniform n x n grid on the square cell [-L, L)^2, L = 4, with
+    periodic topology; n must be a power of two >= 16."""
 
     n: int
-    L: float = 4.0
+    L = 4.0  # half-width: the truncated family mu fits well inside
 
     def __post_init__(self):
         if self.n < 16 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"n must be a power of two >= 16, got {self.n}")
-        if not (self.L > 0):
-            raise ValueError(f"L must be > 0, got {self.L}")
 
     @property
     def spacing(self) -> float:
@@ -115,12 +113,9 @@ def family_mu_on_torus(fam: DeltaFamily, grid: TorusGrid):
     """The family's Beltrami coefficient on the torus, smoothly truncated
     to compact support: 1 on the reference window, 0 outside a ring of
     width DEFAULT_TRUNCATION_MARGIN around it, which stays inside the
-    half-plane x > -1.  The support must fit inside the box.
+    half-plane x > -1 and inside the box (1 + 0.4 < L = 4).
     """
     inner, margin = REFERENCE_WINDOW, DEFAULT_TRUNCATION_MARGIN
-    if (max(abs(inner.x_min), abs(inner.x_max)) + margin >= grid.L
-            or max(abs(inner.y_min), abs(inner.y_max)) + margin >= grid.L):
-        raise ValueError("truncated support does not fit inside the torus box")
     ax, ay = grid.axes()
     rx = _ramp(ax, inner.x_min, inner.x_max, margin)
     ry = _ramp(ay, inner.y_min, inner.y_max, margin)
@@ -134,11 +129,10 @@ def family_mu_on_torus(fam: DeltaFamily, grid: TorusGrid):
 
 @dataclass
 class BeltramiProblem:
-    """One Neumann-iteration run: coefficient grid plus stopping policy."""
+    """One Neumann-iteration run: coefficient grid plus sweep budget."""
 
     mu: np.ndarray
     grid: TorusGrid
-    tol: float = DEFAULT_TOL
     max_iter: int = DEFAULT_MAX_ITER
 
     def __post_init__(self):
@@ -147,14 +141,11 @@ class BeltramiProblem:
             raise ValueError(
                 f"mu shape {self.mu.shape} does not match grid {self.grid.n}"
             )
-        finite = np.isfinite(self.mu)
-        if not finite.all():
-            i, j = np.unravel_index(np.argmin(finite), finite.shape)
-            raise ValueError(
-                f"mu is not finite at node (i, j) = ({i}, {j}): {self.mu[i, j]}"
-            )
-        if not (self.tol > 0 and self.max_iter >= 0):
-            raise ValueError("need tol > 0 and max_iter >= 0")
+        if not np.isfinite(self.mu).all():
+            ax, ay = self.grid.axes()
+            _raise_non_finite(ax[None, :], ay[:, None], [("mu", self.mu)])
+        if self.max_iter < 0:
+            raise ValueError(f"need max_iter >= 0, got {self.max_iter}")
 
     @property
     def sup_mu(self) -> float:
@@ -167,7 +158,6 @@ class IterationTrace:
 
     residuals: list = dc_field(default_factory=list)
     verdict: str = VERDICT_MAX_ITER
-    iterations: int = 0
 
     CSV_HEADER = "iter,residual"
 
@@ -175,6 +165,10 @@ class IterationTrace:
         lines = [self.CSV_HEADER]
         lines += [f"{k + 1},{r:.6g}" for k, r in enumerate(self.residuals)]
         return "\n".join(lines) + "\n"
+
+    @property
+    def iterations(self) -> int:
+        return len(self.residuals)
 
     def summary(self) -> str:
         return f"{self.verdict} after {self.iterations} iterations"
@@ -194,7 +188,7 @@ class IterationTrace:
 def solve_beltrami_neumann(problem: BeltramiProblem):
     """Neumann iteration phi <- mu*(1 + S(phi)) from phi = 0.
 
-    Stops when the sup-norm of successive differences falls below tol
+    Stops when the sup-norm of successive differences falls below DEFAULT_TOL
     (converged), exceeds DIVERGENCE_FACTOR times the first difference
     (diverged), or the iteration budget runs out.  On any verdict the
     reconstruction w = z + C(phi) and the full trace are returned.
@@ -231,8 +225,7 @@ def solve_beltrami_neumann(problem: BeltramiProblem):
         np.fft.fft(spread, axis=0, out=f)
 
     trace = IterationTrace()
-    first = None
-    for k in range(1, problem.max_iter + 1):
+    for _ in range(problem.max_iter):
         fft2_of(phi)
         f *= sym
         np.fft.ifft(f, axis=1, out=f)
@@ -245,18 +238,12 @@ def solve_beltrami_neumann(problem: BeltramiProblem):
         r = float(np.abs(diff, out=size).max(initial=0.0))
         trace.residuals.append(r)
         phi, nxt = nxt, phi
-        trace.iterations = k
-        if first is None:
-            first = r
-        if r < problem.tol:
+        if r < DEFAULT_TOL:
             trace.verdict = VERDICT_CONVERGED
             break
-        if r > DIVERGENCE_FACTOR * first:
+        if r > DIVERGENCE_FACTOR * trace.residuals[0]:
             trace.verdict = VERDICT_DIVERGED
             break
-    else:
-        trace.verdict = VERDICT_MAX_ITER
-        trace.iterations = problem.max_iter
     fft2_of(phi)
     f *= cauchy
     np.fft.ifft(f, axis=1, out=f)

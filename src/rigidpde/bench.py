@@ -27,6 +27,7 @@ from .fields import (
 from .transport import InitialData, parse_f0, solve_characteristic, system_residual, to_real_pair
 
 CSV_HEADER = "delta,kappa,char_time_s,char_residual,beltrami_iters,beltrami_verdict"
+SCAN_NOMINAL = 401  # kappa scan resolution per axis (then axis-aligned)
 
 
 @dataclass
@@ -37,20 +38,12 @@ class BenchConfig:
     f0: str = "exp:1,0"
     repetitions: int = 5
     include_beltrami: bool = False
-    scan_nominal: int = 401          # kappa scan resolution (axis-aligned)
-    beltrami_n: int = 256
-    beltrami_L: float = 4.0
-    beltrami_tol: float = bl.DEFAULT_TOL
-    beltrami_max_iter: int = bl.DEFAULT_MAX_ITER
 
     def __post_init__(self):
         if len(self.deltas) == 0 or any(d <= 0 for d in self.deltas):
             raise ValueError("deltas must be nonempty and all > 0")
         if self.repetitions < 3:
             raise ValueError("need repetitions >= 3 for a stable median")
-
-    def initial_data(self) -> InitialData:
-        return parse_f0(self.f0)
 
     def to_dict(self) -> dict:
         """Every field, so that from_dict(to_dict()) gives this config back."""
@@ -61,8 +54,11 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchConfig":
-        """The config with the fields given in ``d``, defaults elsewhere."""
-        kwargs = {f.name: d[f.name] for f in fields(cls) if f.name in d}
+        """The fields given in ``d`` over the defaults; other keys raise."""
+        unknown = sorted(set(d) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown bench config keys: {', '.join(unknown)}")
+        kwargs = dict(d)
         if "deltas" in kwargs:
             kwargs["deltas"] = tuple(float(v) for v in kwargs["deltas"])
         if "region" in kwargs:
@@ -118,8 +114,8 @@ def _timed_solves(cfg: BenchConfig, f0: InitialData, deltas):
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
     """Run the sweep; failures are recorded per row and the run continues."""
-    f0 = cfg.initial_data()
-    scan_grid = aligned_gridspec(cfg.region, cfg.scan_nominal, cfg.scan_nominal)
+    f0 = parse_f0(cfg.f0)
+    scan_grid = aligned_gridspec(cfg.region, SCAN_NOMINAL, SCAN_NOMINAL)
     report = BenchReport(config=cfg.to_dict())
     try:
         timed = _timed_solves(cfg, f0, cfg.deltas)
@@ -142,12 +138,7 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
             row.char_residual = system_residual(field, uv, mode="fd").max_residual
             row.kappa = scan_region(field, cfg.region, scan_grid).kappa
             if cfg.include_beltrami:
-                grid = bl.TorusGrid(cfg.beltrami_n, cfg.beltrami_L)
-                mu = bl.family_mu_on_torus(fam, grid)
-                _, trace = bl.solve_beltrami_neumann(bl.BeltramiProblem(
-                    mu, grid, tol=cfg.beltrami_tol,
-                    max_iter=cfg.beltrami_max_iter,
-                ))
+                trace = bl.delta_sweep((delta,))[delta]
                 row.beltrami_iters = trace.iterations
                 row.beltrami_verdict = trace.verdict
         except Exception as exc:  # per-row failure is data

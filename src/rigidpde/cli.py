@@ -221,7 +221,7 @@ def cmd_beltrami(args) -> int:
     rate = trace.observed_rate()
     descriptor = {
         "n": args.n, "L": grid.L, "delta": args.delta,
-        "margin": bl.DEFAULT_TRUNCATION_MARGIN, "tol": problem.tol,
+        "margin": bl.DEFAULT_TRUNCATION_MARGIN, "tol": bl.DEFAULT_TOL,
         "max_iter": args.max_iter, "sup_mu": sup_mu,
         "verdict": trace.verdict, "iterations": trace.iterations,
         "observed_rate": rate,

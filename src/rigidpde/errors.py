@@ -7,7 +7,12 @@ class RigidPdeError(Exception):
 
 class DomainError(RigidPdeError):
     """A point or region leaves the elliptic half-plane x > -1, or a
-    field was evaluated outside its declared region."""
+    field was evaluated outside its declared region; carries, when
+    known, the first point (x, y) outside."""
+
+    def __init__(self, message, x=None, y=None):
+        super().__init__(message)
+        self.x, self.y = x, y
 
 
 class NotElliptic(RigidPdeError):
@@ -28,12 +33,12 @@ class NotElliptic(RigidPdeError):
         )
 
 
-class NonFiniteCoefficient(RigidPdeError):
+class NonFiniteCoefficient(RigidPdeError, ValueError):
     """A coefficient, a partial or a derived structure quantity (lambda,
     |mu|, A, B) is NaN or infinite at a node.
 
     Carries the quantity's name, its value and, when known, the node
-    location.
+    location.  Also a ValueError: the input holding it is invalid.
     """
 
     def __init__(self, name, value, x=None, y=None):

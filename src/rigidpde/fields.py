@@ -72,13 +72,11 @@ class Region:
         if not (self.x_min < self.x_max and self.y_min < self.y_max):
             raise ValueError(f"empty or inverted region {self}")
 
-    def contains(self, x, y, pad: float = 0.0) -> bool:
-        return bool(
-            np.all(x >= self.x_min - pad)
-            and np.all(x <= self.x_max + pad)
-            and np.all(y >= self.y_min - pad)
-            and np.all(y <= self.y_max + pad)
-        )
+    def outside(self, x, y, pad: float = 0.0):
+        """Where (x, y) lies outside the rectangle widened by pad (NaN
+        compares inside)."""
+        return ((x < self.x_min - pad) | (x > self.x_max + pad)
+                | (y < self.y_min - pad) | (y > self.y_max + pad))
 
     def as_tuple(self):
         return (self.x_min, self.x_max, self.y_min, self.y_max)
@@ -205,21 +203,26 @@ class CoefficientField:
         x_hi, y_lo, y_hi = x.max(), y.min(), y.max()
         if not (np.all(x >= X_MIN - pad)
                 and np.isfinite([x_hi, y_lo, y_hi]).all()):
-            xb, yb = np.broadcast_arrays(x, y)
-            finite = np.isfinite(xb) & np.isfinite(yb)
+            finite = np.isfinite(x) & np.isfinite(y)
             if not finite.all():
-                k = int(np.argmin(finite))
-                raise DomainError(
-                    f"non-finite coordinate at (x, y) = "
-                    f"({float(xb.flat[k])!r}, {float(yb.flat[k])!r})"
-                )
-            bad = float(np.min(x))
-            raise DomainError(f"x = {bad:.9g} outside the half-plane x > -1")
-        if self.region is not None and not self.region.contains(
-                np.array([x.min(), x_hi]), np.array([y_lo, y_hi]), pad=pad):
-            raise DomainError(
-                f"point outside the field's region {self.region.as_tuple()}"
-            )
+                raise _outside(x, y, ~finite, "non-finite coordinate at", "")
+            raise _outside(x, y, x < X_MIN - pad, "point",
+                           " outside the half-plane x > -1")
+        r = self.region
+        # the corners (x_min, y_min) and (x_max, y_max) test all four sides
+        if r is not None and r.outside(np.array([x.min(), x_hi]),
+                                       np.array([y_lo, y_hi]), pad).any():
+            bounds = tuple(float(v) for v in r.as_tuple())
+            raise _outside(x, y, r.outside(x, y, pad), "point",
+                           f" outside the field's region {bounds}")
+
+
+def _outside(x, y, mask, before, after):
+    """DomainError at the first node (row-major over the broadcast shape)
+    where ``mask`` holds, naming it as (x, y) between two phrases."""
+    shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(mask))
+    px, py = _node(x, y, int(np.argmax(np.broadcast_to(mask, shape))), shape)
+    return DomainError(f"{before} (x, y) = ({px!r}, {py!r}){after}", px, py)
 
 
 class DeltaField(CoefficientField):
@@ -305,10 +308,9 @@ class CallableField(CoefficientField):
     """User field given by two samplers alpha(x, y), beta(x, y); partials
     come from finite differences."""
 
-    def __init__(self, alpha_fn, beta_fn, region: Region | None = None):
+    def __init__(self, alpha_fn, beta_fn):
         self.alpha_fn = alpha_fn
         self.beta_fn = beta_fn
-        self.region = region
 
     def values(self, x, y):
         self.check_domain(x, y)
@@ -338,7 +340,8 @@ class GridTableField(CoefficientField):
                 f"tables must have shape (ny, nx) = {(ys.size, xs.size)}"
             )
         if not (np.all(np.isfinite(alpha)) and np.all(np.isfinite(beta))):
-            raise ValueError("lattice tables contain non-finite entries")
+            _raise_non_finite(xs[None, :], ys[:, None],
+                              [("alpha", alpha), ("beta", beta)])
         self.xs = xs
         self.ys = ys
         self.alpha_tab = alpha
@@ -469,12 +472,16 @@ def central_stencil(fn, x, y, h=None):
     if np.any(h <= 0.0):
         raise ValueError("finite-difference step must be > 0")
     centre = fn(x, y)
-    try:
-        feet = [fn(x + h, y), fn(x - h, y), fn(x, y + h), fn(x, y - h)]
-    except DomainError as exc:
-        raise StencilOutOfDomain(
-            f"stencil of half-width h leaves the field's region: {exc}"
-        ) from exc
+    feet = []
+    for fx, fy in ((x + h, y), (x - h, y), (x, y + h), (x, y - h)):
+        try:
+            feet.append(fn(fx, fy))
+        except DomainError as exc:  # name the first centre with this foot
+            k = int(np.argmax((fx == exc.x) & (fy == exc.y)))
+            cx, cy = _node(x, y, k, h.shape)
+            raise StencilOutOfDomain(
+                f"stencil of half-width {h.flat[k]:.6g} centred at (x, y) = "
+                f"({cx!r}, {cy!r}) leaves the field's domain: {exc}") from exc
     return 2.0 * h, centre, feet
 
 

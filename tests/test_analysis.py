@@ -29,6 +29,7 @@ from rigidpde.fields import (
     DeltaFamily,
     DeltaField,
     GridSpec,
+    GridTableField,
     PerturbedDeltaField,
     Region,
     aligned_gridspec,
@@ -214,12 +215,12 @@ def test_rigidity_equivalence_of_the_two_detectors():
         assert np.all(ab_small == expect_rigid)
 
 
-def nan_quarter_field(region=None):
+def nan_quarter_field():
     """The family at delta = 0.1 with alpha NaN for x > 0.25, y > 0."""
     return CallableField(
         lambda x, y: np.where((x > 0.25) & (y > 0), np.nan,
                               (y * y + 1e-2) / ((1.0 + x) * (1.0 + x))),
-        lambda x, y: -2.0 * y / (1.0 + x), region=region)
+        lambda x, y: -2.0 * y / (1.0 + x))
 
 
 def test_burgers_fd_names_a_non_finite_coefficient():
@@ -263,7 +264,9 @@ def test_burgers_fd_not_elliptic_reaches_the_caller_with_the_point():
 
 
 def test_burgers_fd_blames_the_centre_not_the_stencil():
-    field = nan_quarter_field(region=REFERENCE_WINDOW)
+    # alpha = 1, beta = 0 on the reference window
+    field = GridTableField([-0.5, 1.0], [-1.0, 1.0], np.ones((2, 2)),
+                           np.zeros((2, 2)))
     for p in ((2.0, 0.0), (np.nan, 0.0)):
         with pytest.raises(DomainError) as excinfo:
             burgers_residual(field, p)
@@ -320,9 +323,9 @@ def test_scan_fixture_is_not_rigid():
 
 
 def test_scan_reports_not_elliptic_location():
-    hyper = CallableField(lambda x, y: np.ones_like(np.asarray(x, float)),
-                          lambda x, y: np.full_like(np.asarray(x, float), 3.0),
-                          region=Region(0.0, 1.0, 0.0, 1.0))
+    # alpha = 1, beta = 3 on the unit square
+    hyper = GridTableField([0.0, 1.0], [0.0, 1.0], np.ones((2, 2)),
+                           np.full((2, 2), 3.0))
     with pytest.raises(NotElliptic) as excinfo:
         scan_region(hyper, Region(0.2, 0.8, 0.2, 0.8), GridSpec(5, 5))
     assert excinfo.value.x is not None and excinfo.value.y is not None

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from rigidpde.beltrami import (
+    DEFAULT_TOL,
     DEFAULT_TRUNCATION_MARGIN,
     DIVERGENCE_FACTOR,
     RATE_SWEEPS,
@@ -22,6 +23,7 @@ from rigidpde.beltrami import (
     smoothstep,
     solve_beltrami_neumann,
 )
+from rigidpde.errors import NonFiniteCoefficient
 from rigidpde.fields import REFERENCE_WINDOW, DeltaFamily, Region
 
 
@@ -43,10 +45,9 @@ def test_torus_grid_validation():
         TorusGrid(100)  # not a power of two
     with pytest.raises(ValueError):
         TorusGrid(8)  # too small
-    with pytest.raises(ValueError):
-        TorusGrid(64, L=0.0)
-    g = TorusGrid(64, L=2.0)
-    assert g.spacing == pytest.approx(4.0 / 64)
+    g = TorusGrid(64)
+    assert g.L == 4.0
+    assert g.spacing == pytest.approx(8.0 / 64)
 
 
 def test_beurling_zero_and_size_mismatch():
@@ -58,7 +59,7 @@ def test_beurling_zero_and_size_mismatch():
 
 def test_beurling_plane_wave_unit_modulus_multiplier():
     # one Fourier mode scales by conj(xi)/xi, computed independently here
-    grid = TorusGrid(64, L=2.0)
+    grid = TorusGrid(64)
     X, Y = np.meshgrid(*grid.axes())
     for k1, k2 in ((3, 5), (-2, 7), (1, 0)):
         xi1 = 2 * np.pi * k1 / (2 * grid.L)
@@ -176,12 +177,14 @@ def test_neumann_divergence_verdict():
 
 
 def test_problem_rejects_non_finite_mu():
-    # a NaN used to run the whole budget and report max-iter, sup_mu = nan
+    # a NaN used to run the whole budget and report max-iter, sup_mu = nan;
+    # node (i, j) = (3, 40) sits at x = -4 + 40/8, y = -4 + 3/8
     grid = TorusGrid(64)
     for bad in (np.nan, np.inf, complex(0.1, np.nan)):
         mu = np.zeros((64, 64), dtype=complex)
         mu[3, 40] = bad
-        with pytest.raises(ValueError, match=r"\(i, j\) = \(3, 40\)"):
+        with pytest.raises(NonFiniteCoefficient,
+                           match=r"mu = .* at \(x=1\.0, y=-3\.625\)"):
             BeltramiProblem(mu, grid)
 
 
@@ -253,7 +256,7 @@ def assert_same_bits(got, want):
 # margin: the width of the reference's ring, the library's truncation margin
 @pytest.mark.parametrize("grid,margin", [
     (TorusGrid(256), DEFAULT_TRUNCATION_MARGIN),
-    (TorusGrid(64, L=3.0), DEFAULT_TRUNCATION_MARGIN)])
+    (TorusGrid(64), DEFAULT_TRUNCATION_MARGIN)])
 @pytest.mark.parametrize("delta", [1.0, 0.1, 0.01, 1e-3])
 def test_family_mu_matches_the_masked_meshgrid(grid, margin, delta):
     fam = DeltaFamily(delta)
@@ -261,7 +264,7 @@ def test_family_mu_matches_the_masked_meshgrid(grid, margin, delta):
                      ref_family_mu(fam, grid, REFERENCE_WINDOW, margin))
 
 
-@pytest.mark.parametrize("grid", [TorusGrid(16), TorusGrid(128, L=2.5)])
+@pytest.mark.parametrize("grid", [TorusGrid(16), TorusGrid(128)])
 def test_transforms_match_the_meshgrid_symbols(grid):
     rng = np.random.default_rng(7)
     f = (rng.standard_normal((grid.n, grid.n))
@@ -277,7 +280,7 @@ def test_transforms_match_the_meshgrid_symbols(grid):
 # --- observed contraction rate -----------------------------------------------
 
 def test_observed_rate_of_a_converged_trace():
-    grid = TorusGrid(64, L=2.0)
+    grid = TorusGrid(64)
     _, trace = solve_beltrami_neumann(
         BeltramiProblem(family_mu_on_torus(DeltaFamily(1.0), grid),
                         grid))
@@ -303,9 +306,9 @@ def test_observed_rate_of_a_max_iter_trace():
 
 def test_observed_rate_of_short_traces():
     assert IterationTrace().observed_rate() is None
-    assert IterationTrace(residuals=[0.5], iterations=1).observed_rate() is None
+    assert IterationTrace(residuals=[0.5]).observed_rate() is None
     # fewer sweeps than RATE_SWEEPS: every ratio the trace has
-    short = IterationTrace(residuals=[0.5, 0.125, 0.03125], iterations=3)
+    short = IterationTrace(residuals=[0.5, 0.125, 0.03125])
     assert short.observed_rate() == 0.25
     grid = TorusGrid(32)
     _, trace = solve_beltrami_neumann(BeltramiProblem(np.zeros((32, 32)), grid))
@@ -333,7 +336,7 @@ def ref_neumann(problem):
         residuals.append(float(np.abs(nxt - phi).max()))
         scales.append(float(np.abs(nxt).max() + np.abs(phi).max()))
         phi = nxt
-        if residuals[-1] < problem.tol:
+        if residuals[-1] < DEFAULT_TOL:
             verdict = VERDICT_CONVERGED
             break
         if residuals[-1] > DIVERGENCE_FACTOR * residuals[0]:

@@ -3,8 +3,10 @@ import json
 
 import pytest
 
+from rigidpde.beltrami import delta_sweep
 from rigidpde.bench import (
     CSV_HEADER,
+    SCAN_NOMINAL,
     BenchConfig,
     BenchReport,
     BenchRow,
@@ -22,8 +24,7 @@ from rigidpde.fields import (
 
 
 def small_config(**overrides):
-    base = dict(deltas=(1.0, 1e-4), grid=GridSpec(64, 64), repetitions=3,
-                scan_nominal=101)
+    base = dict(deltas=(1.0, 1e-4), grid=GridSpec(64, 64), repetitions=3)
     base.update(overrides)
     return BenchConfig(**base)
 
@@ -48,9 +49,7 @@ def test_config_dict_roundtrip():
     # through JSON text too
     cfg = BenchConfig(deltas=(0.5, 1e-3), region=Region(-0.25, 0.5, -0.5, 0.75),
                       grid=GridSpec(33, 17), f0="exp:0.5+0.5i,0",
-                      repetitions=4, include_beltrami=True, scan_nominal=51,
-                      beltrami_n=64, beltrami_L=3.0, beltrami_tol=1e-8,
-                      beltrami_max_iter=17)
+                      repetitions=4, include_beltrami=True)
     defaults = BenchConfig()
     assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
                for f in dataclasses.fields(BenchConfig))
@@ -69,7 +68,8 @@ def test_run_benchmark_rows_and_cross_module_kappa():
         assert row.beltrami_iters is None and row.beltrami_verdict is None
         # kappa agrees exactly with a fresh scan at the same resolution
         scan = scan_region(DeltaField(DeltaFamily(row.delta)), cfg.region,
-                           aligned_gridspec(cfg.region, 101, 101))
+                           aligned_gridspec(cfg.region, SCAN_NOMINAL,
+                                            SCAN_NOMINAL))
         assert row.kappa == condition_number(scan.sup_mu)
 
 
@@ -80,12 +80,22 @@ def test_run_benchmark_kappa_span():
 
 
 def test_benchmark_with_beltrami_columns():
-    cfg = small_config(deltas=(1.0,), include_beltrami=True, beltrami_n=64,
-                       beltrami_max_iter=200)
+    cfg = small_config(deltas=(1.0,), include_beltrami=True)
     report = run_benchmark(cfg)
     row = report.rows[0]
     assert row.beltrami_verdict == "converged"
     assert row.beltrami_iters > 0
+    # the baseline is the one fixed Neumann configuration of delta_sweep
+    trace = delta_sweep((1.0,))[1.0]
+    assert (row.beltrami_iters, row.beltrami_verdict) == \
+        (trace.iterations, trace.verdict)
+
+
+def test_config_from_dict_names_unknown_keys():
+    # a typo, and a field that configs could set before the baseline was fixed
+    for key in ("beltrami_tl", "beltrami_tol"):
+        with pytest.raises(ValueError, match=f"unknown bench config keys: {key}$"):
+            BenchConfig.from_dict({"deltas": [1.0], key: 1e-3})
 
 
 def test_emit_csv_header_and_na_cells():

@@ -9,6 +9,7 @@ import pytest
 from rigidpde import bench as bench_mod
 from rigidpde.cli import _VALUE_OPTS, build_parser, main
 from rigidpde.fields import (
+    REFERENCE_WINDOW,
     DeltaFamily,
     DeltaField,
     GridSpec,
@@ -149,6 +150,22 @@ def test_analyze_field_csv_json_is_byte_identical_to_golden(tmp_path, capsys):
                        "--grid", "51,51", "--json")
     assert code == 0
     assert out == ANALYZE_TABLE_GOLDEN
+
+
+def test_analyze_field_csv_unpadded_names_the_stencil(tmp_path, capsys):
+    # the table covers the scan window exactly, so the first centre on its
+    # east edge has a foot outside; the message names step and points
+    path = tmp_path / "window.csv"
+    write_field_csv(DeltaField(DeltaFamily(0.3)), REFERENCE_WINDOW,
+                    GridSpec(61, 61), path)
+    code, _, err = run(capsys, "analyze", "--field-csv", str(path),
+                       "--grid", "51,51")
+    assert code == 1
+    assert "np.float64(" not in err and " h " not in err
+    assert err == (
+        "error: stencil of half-width 2e-05 centred at (x, y) = (1.0, -1.0) "
+        "leaves the field's domain: point (x, y) = (1.00002, -1.0) outside "
+        "the field's region (-0.5, 1.0, -1.0, 1.0)\n")
 
 
 def test_analyze_not_elliptic_exits_2(tmp_path, capsys):
@@ -478,8 +495,7 @@ def test_bench_csv_header_and_na(capsys):
 
 def test_bench_config_file(tmp_path, capsys):
     cfg = {"deltas": [1.0], "region": [-0.5, 1, -1, 1], "grid": [64, 64],
-           "f0": "lpow:2", "repetitions": 3, "include_beltrami": False,
-           "scan_nominal": 101}
+           "f0": "lpow:2", "repetitions": 3, "include_beltrami": False}
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(cfg))
     code, out, _ = run(capsys, "bench", "--config", str(path), "--json")
@@ -487,6 +503,14 @@ def test_bench_config_file(tmp_path, capsys):
     report = json.loads(out)
     assert report["config"]["f0"] == "lpow:2"
     assert report["rows"][0]["error"] is None
+
+
+def test_bench_config_file_with_a_removed_key_exits_1(tmp_path, capsys):
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({"deltas": [1.0], "beltrami_tol": 1e-8}))
+    code, out, err = run(capsys, "bench", "--config", str(path))
+    assert code == 1 and out == ""
+    assert "unknown bench config keys: beltrami_tol" in err
 
 
 def test_bench_flags_override_only_what_they_set(monkeypatch, capsys):
@@ -515,7 +539,7 @@ def test_bench_flags_override_the_config_file(tmp_path, monkeypatch, capsys):
 
     monkeypatch.setattr(bench_mod, "run_benchmark", fake_run)
     file_cfg = bench_mod.BenchConfig(deltas=(1.0, 0.5), grid=GridSpec(64, 64),
-                                     repetitions=3, scan_nominal=101)
+                                     repetitions=3)
     path = tmp_path / "bench.json"
     path.write_text(json.dumps(file_cfg.to_dict()))
     assert run(capsys, "bench", "--config", str(path))[0] == 0
@@ -523,8 +547,7 @@ def test_bench_flags_override_the_config_file(tmp_path, monkeypatch, capsys):
     assert run(capsys, "bench", "--config", str(path), "--repetitions", "9",
                "--f0", "lpow:2", "--deltas", "1e-3")[0] == 0
     assert seen[-1] == bench_mod.BenchConfig(
-        deltas=(1e-3,), grid=GridSpec(64, 64), f0="lpow:2", repetitions=9,
-        scan_nominal=101)
+        deltas=(1e-3,), grid=GridSpec(64, 64), f0="lpow:2", repetitions=9)
 
 
 def test_negative_value_tokens_parse_without_equals():

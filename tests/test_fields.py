@@ -140,9 +140,9 @@ def test_numeric_partials_second_order_slope():
 
 
 def test_numeric_partials_stencil_out_of_domain():
-    field = CallableField(lambda x, y: 1.0 + 0.0 * np.asarray(x, float),
-                          lambda x, y: 0.0 * np.asarray(x, float),
-                          region=Region(0.0, 1.0, 0.0, 1.0))
+    # alpha = 1, beta = 0 on the unit square
+    field = GridTableField([0.0, 1.0], [0.0, 1.0], np.ones((2, 2)),
+                           np.zeros((2, 2)))
     with pytest.raises(StencilOutOfDomain):
         numeric_partials(field, 0.0, 0.5, h=1e-3)
     numeric_partials(field, 0.5, 0.5, h=1e-3)  # interior is fine
@@ -287,8 +287,8 @@ def test_fields_reject_non_finite_coordinates(x, y, named):
     fields = [
         DeltaField(DeltaFamily(1.0)),
         CallableField(lambda x, y: x * 0 + 2.0, lambda x, y: y * 0),
-        CallableField(lambda x, y: x * 0 + 2.0, lambda x, y: y * 0,
-                      region=Region(0.0, 1.0, 0.0, 1.0)),
+        GridTableField([0.0, 1.0], [0.0, 1.0], np.full((2, 2), 2.0),
+                       np.zeros((2, 2))),
     ]
     for field in fields:
         with pytest.raises(DomainError, match="non-finite") as excinfo:
@@ -314,6 +314,20 @@ def test_grid_table_rejects_non_finite_entries():
     ys = np.array([0.0, 1.0])
     alpha = np.array([[1.0, 1.0], [np.inf, 1.0]])
     with pytest.raises(ValueError):
+        GridTableField(xs, ys, alpha, np.zeros((2, 2)))
+
+
+def test_grid_table_names_the_first_non_finite_node():
+    xs = np.array([0.0, 1.0])
+    ys = np.array([0.0, 0.5])
+    beta = np.array([[0.0, np.nan], [0.0, 0.0]])
+    alpha = np.array([[1.0, 1.0], [np.inf, 1.0]])
+    with pytest.raises(NonFiniteCoefficient) as excinfo:
+        GridTableField(xs, ys, alpha, beta)
+    err = excinfo.value
+    assert (err.name, err.x, err.y) == ("beta", 1.0, 0.0)  # row-major first
+    with pytest.raises(NonFiniteCoefficient,
+                       match=r"^non-finite alpha = inf at \(x=0\.0, y=0\.5\)$"):
         GridTableField(xs, ys, alpha, np.zeros((2, 2)))
 
 

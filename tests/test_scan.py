@@ -341,9 +341,9 @@ def test_numeric_partials_blames_a_bad_centre_not_the_stencil():
     for x, y in ((np.nan, 0.0), (0.0, np.inf), (-2.0, 0.0)):
         with pytest.raises(DomainError):
             numeric_partials(DeltaField(DeltaFamily(1.0)), x, y)
-    region = Region(0.0, 1.0, 0.0, 1.0)
-    field = CallableField(lambda x, y: x * 0 + 2.0, lambda x, y: y * 0,
-                          region=region)
+    # alpha = 2, beta = 0 on the unit square
+    field = GridTableField([0.0, 1.0], [0.0, 1.0], np.full((2, 2), 2.0),
+                           np.zeros((2, 2)))
     with pytest.raises(DomainError, match="region"):
         numeric_partials(field, 1.5, 0.5)
     with pytest.raises(StencilOutOfDomain, match="stencil"):
