@@ -55,6 +55,8 @@ class BenchConfig:
     @classmethod
     def from_dict(cls, d: dict) -> "BenchConfig":
         """The fields given in ``d`` over the defaults; other keys raise."""
+        if not isinstance(d, dict):
+            raise ValueError(f"bench config must be a JSON object, not {type(d).__name__}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown bench config keys: {', '.join(unknown)}")

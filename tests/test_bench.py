@@ -96,6 +96,8 @@ def test_config_from_dict_names_unknown_keys():
     for key in ("beltrami_tl", "beltrami_tol"):
         with pytest.raises(ValueError, match=f"unknown bench config keys: {key}$"):
             BenchConfig.from_dict({"deltas": [1.0], key: 1e-3})
+    with pytest.raises(ValueError, match="must be a JSON object"):
+        BenchConfig.from_dict([1.0])
 
 
 def test_emit_csv_header_and_na_cells():
