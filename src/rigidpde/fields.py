@@ -205,19 +205,19 @@ class CoefficientField:
                 and np.isfinite([x_hi, y_lo, y_hi]).all()):
             finite = np.isfinite(x) & np.isfinite(y)
             if not finite.all():
-                raise _outside(x, y, ~finite, "non-finite coordinate at", "")
-            raise _outside(x, y, x < X_MIN - pad, "point",
-                           " outside the half-plane x > -1")
+                raise _bad_point(x, y, ~finite, "non-finite coordinate at", "")
+            raise _bad_point(x, y, x < X_MIN - pad, "point",
+                             " outside the half-plane x > -1")
         r = self.region
         # the corners (x_min, y_min) and (x_max, y_max) test all four sides
         if r is not None and r.outside(np.array([x.min(), x_hi]),
                                        np.array([y_lo, y_hi]), pad).any():
             bounds = tuple(float(v) for v in r.as_tuple())
-            raise _outside(x, y, r.outside(x, y, pad), "point",
-                           f" outside the field's region {bounds}")
+            raise _bad_point(x, y, r.outside(x, y, pad), "point",
+                             f" outside the field's region {bounds}")
 
 
-def _outside(x, y, mask, before, after):
+def _bad_point(x, y, mask, before, after):
     """DomainError at the first node (row-major over the broadcast shape)
     where ``mask`` holds, naming it as (x, y) between two phrases."""
     shape = np.broadcast_shapes(np.shape(x), np.shape(y), np.shape(mask))
