@@ -10,7 +10,7 @@ vanishing makes the system exactly solvable by characteristics.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -28,6 +28,7 @@ from .fields import (
     aligned_gridspec,
     central_stencil,
     grid_axes,
+    report_row,
 )
 
 # Rigidity verdict thresholds: closed-form partials leave only roundoff in
@@ -215,6 +216,7 @@ class RegionScanReport:
     """Extremes of |mu|, the condition number, the largest obstruction
     magnitudes, and the rigidity verdict over one rectangular scan."""
 
+    delta: float | None  # None for a field outside the family
     region: Region
     grid: GridSpec
     inf_mu: float
@@ -225,22 +227,13 @@ class RegionScanReport:
     rigid: bool
     rigidity_tol: float
     partials: str  # "closed-form" or "finite-difference"
-    delta: float | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "delta": self.delta,
-            "region": list(self.region.as_tuple()),
-            "grid": [self.grid.nx, self.grid.ny],
-            "inf_mu": self.inf_mu,
-            "sup_mu": self.sup_mu,
-            "kappa": self.kappa,
-            "max_abs_A": self.max_abs_A,
-            "max_abs_B": self.max_abs_B,
-            "rigid": self.rigid,
-            "rigidity_tol": self.rigidity_tol,
-            "partials": self.partials,
-        }
+        """Every field, in order, with region and grid as lists."""
+        d = {f.name: getattr(self, f.name) for f in fields(self)}
+        d.update(region=list(self.region.as_tuple()),
+                 grid=[self.grid.nx, self.grid.ny])
+        return d
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2)
@@ -248,8 +241,7 @@ class RegionScanReport:
     CSV_HEADER = "delta,inf_mu,sup_mu,kappa"
 
     def to_csv_row(self) -> str:
-        d = "NA" if self.delta is None else f"{self.delta:.6g}"
-        return f"{d},{self.inf_mu:.6g},{self.sup_mu:.6g},{self.kappa:.6g}"
+        return report_row(self.delta, self.inf_mu, self.sup_mu, self.kappa)
 
 
 # A scan works through the grid in row chunks of about this many nodes, so

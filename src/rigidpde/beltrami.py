@@ -24,7 +24,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .fields import REFERENCE_WINDOW, DeltaFamily, DeltaField, _raise_non_finite
+from .fields import REFERENCE_WINDOW, DeltaFamily, DeltaField, _raise_non_finite, report_row
 
 # Iteration defaults.  The budget is deliberately modest: with the default
 # grid and truncation the iteration still converges near delta = 0.01
@@ -163,7 +163,7 @@ class IterationTrace:
 
     def to_csv(self) -> str:
         lines = [self.CSV_HEADER]
-        lines += [f"{k + 1},{r:.6g}" for k, r in enumerate(self.residuals)]
+        lines += [report_row(k + 1, r) for k, r in enumerate(self.residuals)]
         return "\n".join(lines) + "\n"
 
     @property

@@ -23,11 +23,23 @@ from .fields import (
     GridSpec,
     Region,
     aligned_gridspec,
+    report_row,
 )
 from .transport import InitialData, parse_f0, solve_characteristic, system_residual, to_real_pair
 
 CSV_HEADER = "delta,kappa,char_time_s,char_residual,beltrami_iters,beltrami_verdict"
 SCAN_NOMINAL = 401  # kappa scan resolution per axis (then axis-aligned)
+
+# The JSON type of each config key: what it must be, the Python type of its
+# entries, and how many (0: a list of any length, None: a single value).
+_CONFIG_TYPES = {
+    "deltas": ("a list of numbers", (int, float), 0),
+    "region": ("4 numbers", (int, float), 4),
+    "grid": ("2 integers", int, 2),
+    "f0": ("a string", str, None),
+    "repetitions": ("an integer", int, None),
+    "include_beltrami": ("a boolean", bool, None),
+}
 
 
 @dataclass
@@ -54,20 +66,28 @@ class BenchConfig:
 
     @classmethod
     def from_dict(cls, d: dict) -> "BenchConfig":
-        """The fields given in ``d`` over the defaults; other keys raise."""
+        """The fields given in ``d`` over the defaults; other keys, and
+        values of the wrong JSON type, raise ValueError naming the key."""
         if not isinstance(d, dict):
             raise ValueError(f"bench config must be a JSON object, not {type(d).__name__}")
         unknown = sorted(set(d) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown bench config keys: {', '.join(unknown)}")
+        for key, value in d.items():
+            what, kind, n = _CONFIG_TYPES[key]
+            listed = isinstance(value, list) and n in (0, len(value))
+            entries = [value] if n is None else value if listed else [None]
+            # JSON true and false are booleans only, not numbers
+            if not all(isinstance(e, kind) and isinstance(e, bool) == (kind is bool)
+                       for e in entries):
+                raise ValueError(f"bench config {key} must be {what}, got {value!r}")
         kwargs = dict(d)
         if "deltas" in kwargs:
             kwargs["deltas"] = tuple(float(v) for v in kwargs["deltas"])
         if "region" in kwargs:
             kwargs["region"] = Region(*[float(v) for v in kwargs["region"]])
         if "grid" in kwargs:
-            nx, ny = kwargs["grid"]
-            kwargs["grid"] = GridSpec(int(nx), int(ny))
+            kwargs["grid"] = GridSpec(*kwargs["grid"])
         return cls(**kwargs)
 
 
@@ -149,14 +169,6 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     return report
 
 
-def _cell(value):
-    if value is None:
-        return "NA"
-    if isinstance(value, float):
-        return f"{value:.6g}"
-    return str(value)
-
-
 def emit_report(report: BenchReport, fmt: str = "csv") -> str:
     """Render a report: CSV with the fixed column order (missing optional
     cells are the literal NA) or full-precision JSON."""
@@ -165,10 +177,6 @@ def emit_report(report: BenchReport, fmt: str = "csv") -> str:
     if fmt != "csv":
         raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
     lines = [CSV_HEADER]
-    for r in report.rows:
-        lines.append(",".join([
-            _cell(r.delta), _cell(r.kappa), _cell(r.char_time_s),
-            _cell(r.char_residual), _cell(r.beltrami_iters),
-            _cell(r.beltrami_verdict),
-        ]))
+    lines += [report_row(*(getattr(r, name) for name in CSV_HEADER.split(",")))
+              for r in report.rows]
     return "\n".join(lines) + "\n"

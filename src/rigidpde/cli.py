@@ -18,9 +18,10 @@ beltrami  Neumann-iteration baseline for one delta on the default torus;
 bench     sweep deltas: characteristic timing/residual, condition number,
           optional baseline columns
 
-Report CSVs carry 6 significant digits; JSON output and solution-field
-CSVs carry full double precision.  Exit codes: 0 success, 1 bad
-arguments or inputs, 2 the command-specific negative verdict.
+Report CSVs carry 6 significant digits (fields.report_row); JSON output
+and solution-field CSVs carry full double precision.  Exit codes: 0
+success, 1 bad arguments or inputs, 2 the command-specific negative
+verdict.
 """
 
 from __future__ import annotations
@@ -277,27 +278,27 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field-csv", default=None,
                        help="coefficient table CSV with header x,y,alpha,beta")
 
+    def add_output(p, func):
+        p.add_argument("--json", dest="json", action="store_true",
+                       help="emit JSON instead of CSV")
+        p.add_argument("--csv", dest="json", action="store_false",
+                       help="emit CSV (default)")
+        p.add_argument("--out", default=None, help="output path (default stdout)")
+        p.set_defaults(func=func, json=False)
+
     p = sub.add_parser("analyze", help="scan a field over a rectangle")
     add_source(p)
     p.add_argument("--region", default=_WINDOW,
                    help="x_min,x_max,y_min,y_max (default: reference window)")
     p.add_argument("--grid", default=nominal,
                    help="nominal nx,ny, snapped so the axes are nodes")
-    p.add_argument("--json", dest="json", action="store_true",
-                   help="emit JSON instead of CSV")
-    p.add_argument("--csv", dest="json", action="store_false",
-                   help="emit CSV (default)")
-    p.add_argument("--out", default=None, help="output path (default stdout)")
-    p.set_defaults(func=cmd_analyze, json=False)
+    add_output(p, cmd_analyze)
 
     p = sub.add_parser("table1",
                        help="degeneration table of the built-in family")
     p.add_argument("--grid", default=nominal,
                    help="nominal nx,ny (aligned per axis)")
-    p.add_argument("--json", dest="json", action="store_true")
-    p.add_argument("--csv", dest="json", action="store_false")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_table1, json=False)
+    add_output(p, cmd_table1)
 
     p = sub.add_parser("solve", help="characteristic solve on a grid")
     p.add_argument("--delta", type=float, required=True)
@@ -330,10 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--repetitions", type=int)
     p.add_argument("--beltrami", action="store_true", default=None,
                    help="include the Neumann baseline columns")
-    p.add_argument("--json", dest="json", action="store_true")
-    p.add_argument("--csv", dest="json", action="store_false")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=cmd_bench, json=False)
+    add_output(p, cmd_bench)
 
     return parser
 

@@ -34,8 +34,8 @@ class NotElliptic(RigidPdeError):
 
 
 class NonFiniteCoefficient(RigidPdeError, ValueError):
-    """A coefficient, a partial or a derived structure quantity (lambda,
-    |mu|, A, B) is NaN or infinite at a node.
+    """A coefficient, a partial, a derived structure quantity (lambda,
+    |mu|, A, B) or a solution grid (w, u, v) is NaN or infinite at a node.
 
     Carries the quantity's name, its value and, when known, the node
     location.  Also a ValueError: the input holding it is invalid.

@@ -375,36 +375,13 @@ class GridTableField(CoefficientField):
         return interp(self.alpha_tab), interp(self.beta_tab)
 
 
-def lattice_from_columns(x, y, *columns):
-    """Reassemble flat (x, y, value...) columns into a rectangular lattice.
-
-    Returns (xs, ys, [value grids of shape (ny, nx)]).  Raises ValueError
-    when the points do not form a complete lattice.
-    """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    xs = np.unique(x)
-    ys = np.unique(y)
-    if xs.size * ys.size != x.size:
-        raise ValueError(
-            f"{x.size} points do not fill a {xs.size} x {ys.size} lattice"
-        )
-    order = np.lexsort((x, y))  # y-major, x varying fastest
-    xo = x[order].reshape(ys.size, xs.size)
-    yo = y[order].reshape(ys.size, xs.size)
-    if not (np.all(xo == xs[None, :]) and np.all(yo == ys[:, None])):
-        raise ValueError("points do not form a rectangular lattice")
-    grids = [np.asarray(c, dtype=float)[order].reshape(ys.size, xs.size)
-             for c in columns]
-    return xs, ys, grids
-
-
 # ---------------------------------------------------------------------------
 # The lattice CSV format shared by coefficient tables and solution fields:
 # a header line, then one row x,y,value... per node in row-major order
 # (x varying fastest), every number in its shortest round-trip repr form,
 # lines ended by \r\n as csv.writer does.  Finite data survives a
-# write/read cycle bit-exactly.
+# write/read cycle bit-exactly.  Report CSVs (report_row) instead carry 6
+# significant digits.
 
 def write_lattice_csv(path, header, xs, ys, grids):
     """Write value grids of shape (ny, nx) over the axes xs, ys."""
@@ -426,34 +403,47 @@ def read_lattice_csv(path, header):
 
     Returns (xs, ys, [value grids of shape (ny, nx)]).  Raises ValueError
     naming the file on a wrong header, a missing or ragged body, a
-    non-finite entry (with its x, y) or an incomplete lattice.
+    non-finite entry (with its x, y) or points that do not form a complete
+    rectangular lattice.
     """
-    with open(path) as fh:
-        try:
-            return _parse_lattice_csv(fh, header)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+    try:
+        with open(path) as fh:
+            line = fh.readline()
+            got = next(csv.reader([line]), None) if line else None
+            if got is None or [c.strip() for c in got] != header:
+                raise ValueError(f"expected header {','.join(header)}, got {got}")
+            with warnings.catch_warnings():
+                # a header-only file is reported below, not warned about
+                warnings.simplefilter("ignore", UserWarning)
+                data = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"',
+                                  comments=None)
+        if data.shape[0] == 0:
+            raise ValueError("no data rows")
+        if data.shape[1] != len(header):
+            raise ValueError(f"expected {len(header)} columns, got {data.shape[1]}")
+        finite = np.isfinite(data).all(axis=1)
+        if not finite.all():
+            x, y = data[np.argmin(finite), :2].tolist()
+            raise ValueError(f"non-finite entry at (x, y) = ({x!r}, {y!r})")
+        x, y = data[:, 0], data[:, 1]
+        xs, ys = np.unique(x), np.unique(y)
+        if xs.size * ys.size != x.size:
+            raise ValueError(f"{x.size} points do not fill a {xs.size} x {ys.size} lattice")
+        order = np.lexsort((x, y))  # y-major, x varying fastest
+        xo, yo, *grids = (c[order].reshape(ys.size, xs.size) for c in data.T)
+        if not (np.all(xo == xs[None, :]) and np.all(yo == ys[:, None])):
+            raise ValueError("points do not form a rectangular lattice")
+        return xs, ys, grids
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
-def _parse_lattice_csv(fh, header):
-    line = fh.readline()
-    got = next(csv.reader([line]), None) if line else None
-    if got is None or [c.strip() for c in got] != header:
-        raise ValueError(f"expected header {','.join(header)}, got {got}")
-    with warnings.catch_warnings():
-        # a header-only file is reported below, not warned about
-        warnings.simplefilter("ignore", UserWarning)
-        data = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"',
-                          comments=None)
-    if data.shape[0] == 0:
-        raise ValueError("no data rows")
-    if data.shape[1] != len(header):
-        raise ValueError(f"expected {len(header)} columns, got {data.shape[1]}")
-    finite = np.isfinite(data).all(axis=1)
-    if not finite.all():
-        x, y = data[np.argmin(finite), :2].tolist()
-        raise ValueError(f"non-finite entry at (x, y) = ({x!r}, {y!r})")
-    return lattice_from_columns(*data.T)
+def report_row(*cells) -> str:
+    """One line of a report CSV (the scan table, the bench sweep, the
+    Neumann trace): floats to 6 significant digits, None as the literal
+    NA, anything else as str."""
+    return ",".join("NA" if c is None else f"{c:.6g}" if isinstance(c, float)
+                    else str(c) for c in cells)
 
 
 def central_stencil(fn, x, y, h=None):
@@ -462,16 +452,20 @@ def central_stencil(fn, x, y, h=None):
     default_fd_step); returns (2*h, centre value, [foot values]).
 
     The centre is evaluated first, so a bad centre raises the caller's
-    DomainError; a DomainError at a foot becomes StencilOutOfDomain.
+    DomainError (its default step is bad too); then a step that is not
+    finite and > 0 raises ValueError, and a DomainError at a foot becomes
+    StencilOutOfDomain.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     if h is None:
         h = default_fd_step(x, y)
     h = np.broadcast_to(np.asarray(h, dtype=float), np.broadcast(x, y).shape)
-    if np.any(h <= 0.0):
-        raise ValueError("finite-difference step must be > 0")
     centre = fn(x, y)
+    ok = (h > 0.0) & (h < np.inf)  # NaN fails both
+    if not ok.all():
+        raise ValueError("finite-difference step must be finite and > 0, "
+                         f"got {h.flat[int(np.argmin(ok))].item()!r}")
     feet = []
     for fx, fy in ((x + h, y), (x - h, y), (x, y + h), (x, y - h)):
         try:

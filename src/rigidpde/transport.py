@@ -27,6 +27,7 @@ from .fields import (
     DeltaField,
     GridSpec,
     Region,
+    _raise_non_finite,
     grid_axes,
     read_lattice_csv,
     write_lattice_csv,
@@ -192,13 +193,7 @@ class _GridField:
         if any(g.shape != shape for g in grids.values()):
             shapes = "/".join(str(g.shape) for g in grids.values())
             raise ValueError(f"grid shapes {shapes} do not match {shape}")
-        finite = np.logical_and.reduce([np.isfinite(g) for g in grids.values()])
-        if not finite.all():
-            # the first bad node (row-major), named by its first bad grid
-            j, i = divmod(int(np.argmin(finite)), shape[1])
-            name = next(n for n, g in grids.items() if not np.isfinite(g[j, i]))
-            raise ValueError(f"{name} has a non-finite entry at (x, y) = "
-                             f"({self.xs[i].item()!r}, {self.ys[j].item()!r})")
+        _raise_non_finite(self.xs[None, :], self.ys[:, None], list(grids.items()))
 
     @property
     def region(self) -> Region:
@@ -306,36 +301,38 @@ def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
     b = delta/(1+x) never vanishes.
     """
     x, y = w.xs[None, :], w.ys[:, None]
-    inv = 1.0 / (1.0 + x)
-    b = fam.delta * inv
-    p = w.values.real
-    q = w.values.imag
-    ratio = y * inv  # a
-    ratio /= b  # equals y/delta
-    u = ratio * q
-    np.subtract(p, u, out=u)
-    v = q / b
-    partials = None
-    if w.has_partials:
-        px, qx = w.wx.real, w.wx.imag
-        py, qy = w.wy.real, w.wy.imag
-        inv_delta = 1.0 / fam.delta
-        one_x = 1.0 + x
-        # d(a/b)/dx = 0 and d(a/b)/dy = 1/delta; 1/b = (1+x)/delta:
-        # ux = px - ratio*qx, uy = (py - q*inv_delta) - ratio*qy,
-        # vx = (q + (1+x)*qx)*inv_delta, vy = ((1+x)*qy)*inv_delta
-        ux = ratio * qx
-        np.subtract(px, ux, out=ux)
-        uy = q * inv_delta
-        np.subtract(py, uy, out=uy)
-        ratio *= qy
-        uy -= ratio
-        vx = one_x * qx
-        vx += q
-        vx *= inv_delta
-        vy = one_x * qy
-        vy *= inv_delta
-        partials = (ux, uy, vx, vy)
+    # A subnormal delta overflows 1/b; RealPairField names the bad node.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        inv = 1.0 / (1.0 + x)
+        b = fam.delta * inv
+        p = w.values.real
+        q = w.values.imag
+        ratio = y * inv  # a
+        ratio /= b  # equals y/delta
+        u = ratio * q
+        np.subtract(p, u, out=u)
+        v = q / b
+        partials = None
+        if w.has_partials:
+            px, qx = w.wx.real, w.wx.imag
+            py, qy = w.wy.real, w.wy.imag
+            inv_delta = 1.0 / fam.delta
+            one_x = 1.0 + x
+            # d(a/b)/dx = 0 and d(a/b)/dy = 1/delta; 1/b = (1+x)/delta:
+            # ux = px - ratio*qx, uy = (py - q*inv_delta) - ratio*qy,
+            # vx = (q + (1+x)*qx)*inv_delta, vy = ((1+x)*qy)*inv_delta
+            ux = ratio * qx
+            np.subtract(px, ux, out=ux)
+            uy = q * inv_delta
+            np.subtract(py, uy, out=uy)
+            ratio *= qy
+            uy -= ratio
+            vx = one_x * qx
+            vx += q
+            vx *= inv_delta
+            vy = one_x * qy
+            vy *= inv_delta
+            partials = (ux, uy, vx, vy)
     return RealPairField(w.xs, w.ys, u, v, partials=partials)
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import re
 
 import pytest
 
@@ -7,6 +8,7 @@ from rigidpde.beltrami import delta_sweep
 from rigidpde.bench import (
     CSV_HEADER,
     SCAN_NOMINAL,
+    _CONFIG_TYPES,
     BenchConfig,
     BenchReport,
     BenchRow,
@@ -100,6 +102,10 @@ def test_config_from_dict_names_unknown_keys():
         BenchConfig.from_dict([1.0])
 
 
+def test_every_config_field_has_a_json_type():
+    assert list(_CONFIG_TYPES) == [f.name for f in dataclasses.fields(BenchConfig)]
+
+
 def test_emit_csv_header_and_na_cells():
     report = BenchReport(config={}, rows=[
         BenchRow(delta=1.0, kappa=18.0, char_time_s=0.001,
@@ -121,14 +127,15 @@ def test_json_roundtrip_is_lossless():
     assert again["rows"] == [dataclasses.asdict(r) for r in report.rows]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_per_row_failures_are_recorded():
     # a region outside the table's domain cannot occur for the built-in
     # family, but a nonsensical f0 power fails at config parse time;
-    # per-row capture is exercised through an extreme delta overflowing exp
+    # per-row capture is exercised through an f0 whose exp overflows, which
+    # the solve rejects naming w and its first bad node, without a warning
     cfg = small_config(deltas=(1.0,), f0="exp:1e308,0")
     report = run_benchmark(cfg)
     row = report.rows[0]
-    assert row.error is not None
+    assert re.match(r"NonFiniteCoefficient: non-finite w = .* at \(x=\S+, y=\S+\)$",
+                    row.error)
     text = emit_report(report, "csv")
     assert text.splitlines()[1].startswith("1,")

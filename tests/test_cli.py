@@ -275,7 +275,17 @@ def test_solve_names_the_first_non_finite_node(tmp_path, capsys):
     code, _, err = run(capsys, "solve", "--delta", "1", "--f0", "exp:400,0",
                        "--grid", "9,9", "--out", str(tmp_path / "o"))
     assert code == 1
-    assert "w has a non-finite entry at (x, y) = (-0.5, 1.0)" in err
+    assert err == "error: non-finite w = (-inf-infj) at (x=-0.5, y=1.0)\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_solve_at_a_subnormal_delta_names_the_node_without_warnings(tmp_path, capsys):
+    # 1/b overflows at delta = 1e-310; pytest turns a numpy warning into an
+    # error, so this also checks that none is printed
+    code, _, err = run(capsys, "solve", "--delta", "1e-310", "--f0", "lpow:2",
+                       "--grid", "9,9", "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert err == "error: non-finite u = -inf at (x=-0.5, y=-1.0)\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -511,6 +521,24 @@ def test_bench_config_file_with_a_removed_key_exits_1(tmp_path, capsys):
     code, out, err = run(capsys, "bench", "--config", str(path))
     assert code == 1 and out == ""
     assert "unknown bench config keys: beltrami_tol" in err
+
+
+@pytest.mark.parametrize("key, value, what", [
+    ("region", [0, 1, 2], "4 numbers"),
+    ("deltas", 1.0, "a list of numbers"),
+    ("repetitions", "5", "an integer"),
+    ("f0", 3, "a string"),
+    ("include_beltrami", "no", "a boolean"),
+    ("grid", [64.0, 64], "2 integers"),
+])
+def test_bench_config_value_of_the_wrong_json_type_exits_1(tmp_path, capsys,
+                                                           key, value, what):
+    # each used to end in a traceback, and "no" ran the baseline
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({key: value}))
+    code, out, err = run(capsys, "bench", "--config", str(path))
+    assert code == 1 and out == ""
+    assert err == f"error: bench config {key} must be {what}, got {value!r}\n"
 
 
 def test_bench_flags_override_only_what_they_set(monkeypatch, capsys):

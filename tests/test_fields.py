@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,7 @@ from rigidpde.fields import (
     aligned_gridspec,
     grid_axes,
     numeric_partials,
+    report_row,
     write_field_csv,
 )
 
@@ -146,6 +149,24 @@ def test_numeric_partials_stencil_out_of_domain():
     with pytest.raises(StencilOutOfDomain):
         numeric_partials(field, 0.0, 0.5, h=1e-3)
     numeric_partials(field, 0.5, 0.5, h=1e-3)  # interior is fine
+
+
+def test_report_row_formats_each_kind_of_cell():
+    assert report_row(1.0, None, 300, "converged", 6250012.5, 1e-4) == \
+        "1,NA,300,converged,6.25001e+06,0.0001"
+
+
+@pytest.mark.parametrize("h", [np.nan, np.inf, 0.0, -1.0])
+def test_a_step_that_is_not_finite_and_positive_is_rejected(h):
+    # NaN and inf used to pass the step check and be blamed on the domain
+    field = CallableField(lambda x, y: 1.0 + 0.0 * x, lambda x, y: 0.0 * x)
+    step = re.escape(repr(float(h)))
+    for derive in (lambda: numeric_partials(field, 0.5, 0.5, h=h),
+                   lambda: burgers_residual(field, (0.5, 0.5), h=h)):
+        with pytest.raises(ValueError, match=rf"^finite-difference step must "
+                           rf"be finite and > 0, got {step}$") as excinfo:
+            derive()
+        assert not isinstance(excinfo.value, DomainError)
 
 
 def test_numeric_partials_raise_on_a_non_finite_sample():
