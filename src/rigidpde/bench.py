@@ -75,11 +75,11 @@ class BenchConfig:
             raise ValueError(f"unknown bench config keys: {', '.join(unknown)}")
         for key, value in d.items():
             what, kind, n = _CONFIG_TYPES[key]
-            listed = isinstance(value, list) and n in (0, len(value))
-            entries = [value] if n is None else value if listed else [None]
+            entries = [value] if n is None else value
             # JSON true and false are booleans only, not numbers
-            if not all(isinstance(e, kind) and isinstance(e, bool) == (kind is bool)
-                       for e in entries):
+            if not (isinstance(entries, list) and n in (None, 0, len(entries))
+                    and all(isinstance(e, kind) and isinstance(e, bool) == (kind is bool)
+                            for e in entries)):
                 raise ValueError(f"bench config {key} must be {what}, got {value!r}")
         kwargs = dict(d)
         if "deltas" in kwargs:

@@ -164,9 +164,8 @@ def test_a_step_that_is_not_finite_and_positive_is_rejected(h):
     for derive in (lambda: numeric_partials(field, 0.5, 0.5, h=h),
                    lambda: burgers_residual(field, (0.5, 0.5), h=h)):
         with pytest.raises(ValueError, match=rf"^finite-difference step must "
-                           rf"be finite and > 0, got {step}$") as excinfo:
+                           rf"be finite and > 0, got {step}$"):
             derive()
-        assert not isinstance(excinfo.value, DomainError)
 
 
 def test_numeric_partials_raise_on_a_non_finite_sample():
