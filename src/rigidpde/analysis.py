@@ -246,8 +246,14 @@ class RegionScanReport:
 
 # A scan works through the grid in row chunks of about this many nodes, so
 # each float temporary (256 KB) stays in a core's L2 cache however wide the
-# grid is.
+# grid is.  The transport kernels use the same chunks.
 SCAN_CHUNK_NODES = 1 << 15
+
+
+def chunk_rows(nx: int, ny: int) -> int:
+    """Rows per chunk of an (ny, nx) grid: as many as fit in
+    SCAN_CHUNK_NODES nodes, at least one and at most ny."""
+    return min(max(1, SCAN_CHUNK_NODES // nx), ny)
 
 
 def scan_region(
@@ -276,7 +282,7 @@ def scan_region(
     rigidity_tol = (RIGIDITY_TOL_CLOSED_FORM if field.closed_form_partials
                     else RIGIDITY_TOL_FINITE_DIFF)
     xs, ys = grid_axes(region, grid)
-    rows = min(max(1, SCAN_CHUNK_NODES // xs.size), ys.size)  # per chunk
+    rows = chunk_rows(xs.size, ys.size)
     x = xs[None, :]
     real = np.empty((6, rows, xs.size))
     cplx = np.empty((3, rows, xs.size), dtype=complex)

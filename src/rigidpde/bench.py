@@ -52,8 +52,10 @@ class BenchConfig:
     include_beltrami: bool = False
 
     def __post_init__(self):
-        if len(self.deltas) == 0 or any(d <= 0 for d in self.deltas):
-            raise ValueError("deltas must be nonempty and all > 0")
+        if len(self.deltas) == 0:
+            raise ValueError("deltas must be nonempty")
+        for d in self.deltas:
+            DeltaFamily(d)  # names a delta that is not finite and > 0
         if self.repetitions < 3:
             raise ValueError("need repetitions >= 3 for a stable median")
 

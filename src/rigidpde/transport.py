@@ -10,6 +10,10 @@ initial profile on the line x = 0.  The identification is invertible
 directions and their residual checks live here.  Analytic partials
 travel one way only: the solver's wx, wy become the partials of (u, v)
 for the analytic system residual, while (u, v) -> w carries values.
+
+The solve, both identifications and the system residual fill their output
+grids one block of rows at a time (the region scan's ``chunk_rows``), so
+their temporaries stay cache-sized; no output depends on the block size.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .analysis import spectral_lambda
+from .analysis import chunk_rows, spectral_lambda
 from .errors import StencilOutOfDomain
 from .fields import (
     CoefficientField,
@@ -240,6 +244,12 @@ class RealPairField(_GridField):
         return self.partials is not None
 
 
+def _row_blocks(xs, ys):
+    """Slices of the grid rows in blocks of ``chunk_rows`` rows."""
+    rows = chunk_rows(xs.size, ys.size)
+    return [slice(a, a + rows) for a in range(0, ys.size, rows)]
+
+
 def solve_characteristic(
     fam: DeltaFamily,
     f0: InitialData,
@@ -252,25 +262,28 @@ def solve_characteristic(
     The initial profiles in the catalog are entire, so the formula is
     evaluated on the full requested rectangle; that choice is recorded in
     the field metadata.  The arithmetic per node does not depend on delta.
+    Each block of rows (see _row_blocks) takes one f0 evaluation.
     """
     xs, ys = grid_axes(region, grid)
-    x, y = xs[None, :], ys[:, None]
-    zeta = characteristic_coordinate(fam, (x, y))
+    x = xs[None, :]
+    w, wx, wy = (np.empty((ys.size, xs.size), dtype=complex) for _ in range(3))
     # A profile that overflows leaves inf/nan in w, which ComplexField
     # rejects naming the first such node, so numpy need not warn here.
     with np.errstate(over="ignore", invalid="ignore"):
-        w, df = f0.value_and_derivative(zeta, fam.delta)
-        w = np.asarray(w, dtype=complex)
-        df = np.asarray(df, dtype=complex)
-        del zeta  # f0 may return it (or a view of it): never overwritten
-        # zeta_x = -lambda/(1+x), zeta_y = 1/(1+x): wx = df*(-(lambda*inv)),
-        # wy = df*inv
         inv = 1.0 / (1.0 + x)
-        wx = DeltaField(fam).spectral(x, y)
-        wx *= inv
-        np.negative(wx, out=wx)
-        np.multiply(df, wx, out=wx)
-        wy = df * inv
+        for s in _row_blocks(xs, ys):
+            y = ys[s, None]
+            value, df = f0.value_and_derivative(
+                characteristic_coordinate(fam, (x, y)), fam.delta)
+            w[s] = value
+            df = np.asarray(df, dtype=complex)
+            # zeta_x = -lambda/(1+x), zeta_y = 1/(1+x): wx = df*(-(lambda*inv)),
+            # wy = df*inv; complex a*b and b*a can round apart, so keep the order
+            lam = DeltaField(fam).spectral(x, y)
+            lam *= inv
+            np.negative(lam, out=lam)
+            np.multiply(df, lam, out=wx[s])
+            np.multiply(df, inv, out=wy[s])
     meta = {
         "delta": fam.delta,
         "f0": f0.descriptor(),
@@ -282,58 +295,65 @@ def solve_characteristic(
 
 def from_real_pair(fam: DeltaFamily, uv: RealPairField) -> ComplexField:
     """Spectral identification w = u + v*lambda = (u + a*v) + i*(b*v),
-    with lambda = a + i*b, a = y/(1+x), b = delta/(1+x); values only."""
-    x, y = uv.xs[None, :], uv.ys[:, None]
-    inv = 1.0 / (1.0 + x)
+    lambda = a + i*b, a = y/(1+x), b = delta/(1+x): values, by row blocks."""
+    xs, ys = uv.xs, uv.ys
+    inv = 1.0 / (1.0 + xs[None, :])
+    b = fam.delta * inv
     # Real and imaginary parts are written straight into the complex grid.
     w = np.empty(uv.u.shape, dtype=complex)
-    av = y * inv  # a
-    av *= uv.v
-    np.add(uv.u, av, out=w.real)
-    np.multiply(fam.delta * inv, uv.v, out=w.imag)
-    return ComplexField(uv.xs, uv.ys, w, meta={"delta": fam.delta})
+    for s in _row_blocks(xs, ys):
+        av = ys[s, None] * inv  # a
+        av *= uv.v[s]
+        np.add(uv.u[s], av, out=w.real[s])
+        np.multiply(b, uv.v[s], out=w.imag[s])
+    return ComplexField(xs, ys, w, meta={"delta": fam.delta})
 
 
 def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
-    """Inverse identification u = Re(w) - (a/b)*Im(w), v = Im(w)/b.
+    """Inverse identification u = Re(w) - (a/b)*Im(w), v = Im(w)/b, and
+    the partials of (u, v) when w has them, by row blocks.
 
     Requires delta > 0 (enforced at DeltaFamily construction) so that
     b = delta/(1+x) never vanishes.
     """
-    x, y = w.xs[None, :], w.ys[:, None]
+    xs, ys = w.xs, w.ys
+    shape = w.values.shape
+    u, v = np.empty(shape), np.empty(shape)
+    partials = (tuple(np.empty(shape) for _ in range(4)) if w.has_partials
+                else None)
     # A subnormal delta overflows 1/b; RealPairField names the bad node.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        inv = 1.0 / (1.0 + x)
+        one_x = 1.0 + xs[None, :]
+        inv = 1.0 / one_x
         b = fam.delta * inv
-        p = w.values.real
-        q = w.values.imag
-        ratio = y * inv  # a
-        ratio /= b  # equals y/delta
-        u = ratio * q
-        np.subtract(p, u, out=u)
-        v = q / b
-        partials = None
-        if w.has_partials:
-            px, qx = w.wx.real, w.wx.imag
-            py, qy = w.wy.real, w.wy.imag
-            inv_delta = 1.0 / fam.delta
-            one_x = 1.0 + x
+        inv_delta = 1.0 / fam.delta
+        for s in _row_blocks(xs, ys):
+            p, q = w.values.real[s], w.values.imag[s]
+            ratio = ys[s, None] * inv  # a
+            ratio /= b  # equals y/delta
+            np.multiply(ratio, q, out=u[s])
+            np.subtract(p, u[s], out=u[s])
+            np.divide(q, b, out=v[s])
+            if partials is None:
+                continue
+            ux, uy, vx, vy = (g[s] for g in partials)
+            px, qx = w.wx.real[s], w.wx.imag[s]
+            py, qy = w.wy.real[s], w.wy.imag[s]
             # d(a/b)/dx = 0 and d(a/b)/dy = 1/delta; 1/b = (1+x)/delta:
             # ux = px - ratio*qx, uy = (py - q*inv_delta) - ratio*qy,
             # vx = (q + (1+x)*qx)*inv_delta, vy = ((1+x)*qy)*inv_delta
-            ux = ratio * qx
+            np.multiply(ratio, qx, out=ux)
             np.subtract(px, ux, out=ux)
-            uy = q * inv_delta
+            np.multiply(q, inv_delta, out=uy)
             np.subtract(py, uy, out=uy)
             ratio *= qy
             uy -= ratio
-            vx = one_x * qx
+            np.multiply(one_x, qx, out=vx)
             vx += q
             vx *= inv_delta
-            vy = one_x * qy
+            np.multiply(one_x, qy, out=vy)
             vy *= inv_delta
-            partials = (ux, uy, vx, vy)
-    return RealPairField(w.xs, w.ys, u, v, partials=partials)
+    return RealPairField(xs, ys, u, v, partials=partials)
 
 
 # ---------------------------------------------------------------------------
@@ -406,7 +426,8 @@ def system_residual(
 
     mode="fd" uses central differences of the stored grids (a one-node
     rim is excluded); mode="analytic" requires
-    the field to carry closed-form partial grids.
+    the field to carry closed-form partial grids.  Both work one block of
+    rows at a time (see _row_blocks); NaN propagates to the maxima.
 
     In fd mode the report's ``relative`` is the larger of max|r1| and
     max|r2|, each over the largest maximum of the terms it cancels: u_x
@@ -430,19 +451,30 @@ def system_residual(
         xs, ys = xs[1:-1], ys[1:-1]
     else:
         raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
-    alpha, beta = field.values(xs[None, :], ys[:, None])
-    r1 = alpha * vy
-    r2 = beta * vy
-    if mode == "fd":
-        rounding = _ROUNDING * max(_max_abs(uv.u), _max_abs(uv.v)) / min(hx, hy)
-        sizes1 = [_max_abs(ux), _max_abs(r1), rounding * max(1.0, _max_abs(alpha))]
-        sizes2 = [_max_abs(vx), _max_abs(uy), _max_abs(r2),
-                  rounding * max(1.0, _max_abs(beta))]
-    np.subtract(ux, r1, out=r1)
-    np.subtract(vx + uy, r2, out=r2)
-    max_r1, max_r2 = _max_abs(r1), _max_abs(r2)
+    r1 = np.empty((ys.size, xs.size))
+    r2 = np.empty_like(r1)
+    fd = mode == "fd"
+    # Running maxima of |r1|, |r2| and, in fd mode, of |alpha*v_y|,
+    # |beta*v_y|, |alpha| and |beta| over the blocks; np.maximum keeps NaN.
+    ext = np.zeros(6 if fd else 2)
+    for s in _row_blocks(xs, ys):
+        alpha, beta = field.values(xs[None, :], ys[s, None])
+        b1, b2 = r1[s], r2[s]
+        np.multiply(alpha, vy[s], out=b1)
+        np.multiply(beta, vy[s], out=b2)
+        terms = ([_max_abs(b1), _max_abs(b2), _max_abs(alpha), _max_abs(beta)]
+                 if fd else [])
+        np.subtract(ux[s], b1, out=b1)
+        np.subtract(vx[s] + uy[s], b2, out=b2)
+        np.maximum(ext, [_max_abs(b1), _max_abs(b2), *terms], out=ext)
+    max_r1, max_r2, *terms = (float(e) for e in ext)
     relative = None
-    if mode == "fd":
+    if fd:
+        alpha_vy, beta_vy, max_alpha, max_beta = terms
+        rounding = _ROUNDING * max(_max_abs(uv.u), _max_abs(uv.v)) / min(hx, hy)
+        sizes1 = [_max_abs(ux), alpha_vy, rounding * max(1.0, max_alpha)]
+        sizes2 = [_max_abs(vx), _max_abs(uy), beta_vy,
+                  rounding * max(1.0, max_beta)]
         relative = float(np.max([_relative(max_r1, sizes1),
                                  _relative(max_r2, sizes2)]))
     return ResidualReport(max_r1, max_r2, r1, r2, mode, hx, hy, relative)

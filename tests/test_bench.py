@@ -36,6 +36,10 @@ def test_config_validation():
         BenchConfig(deltas=())
     with pytest.raises(ValueError):
         BenchConfig(deltas=(1.0, -1.0))
+    for bad in (float("nan"), float("inf"), 0.0):
+        with pytest.raises(ValueError,
+                           match=f"^delta must be finite and > 0, got {bad!r}$"):
+            BenchConfig(deltas=(1.0, bad))
     with pytest.raises(ValueError):
         BenchConfig(repetitions=2)
 

@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from rigidpde import bench as bench_mod
+from rigidpde import analysis, bench as bench_mod
 from rigidpde.cli import _VALUE_OPTS, build_parser, main
 from rigidpde.fields import (
     REFERENCE_WINDOW,
@@ -289,6 +289,15 @@ def test_solve_at_a_subnormal_delta_names_the_node_without_warnings(tmp_path, ca
     assert list(tmp_path.iterdir()) == []
 
 
+def test_solve_names_the_same_node_in_blocks_of_two_rows(tmp_path, capsys,
+                                                        monkeypatch):
+    # a 9x9 solve is one block of rows by default; in blocks of two rows
+    # (the last one ragged) both failures above read the same
+    monkeypatch.setattr(analysis, "SCAN_CHUNK_NODES", 2 * 9)
+    test_solve_names_the_first_non_finite_node(tmp_path, capsys)
+    test_solve_at_a_subnormal_delta_names_the_node_without_warnings(tmp_path, capsys)
+
+
 def test_verify_solution_passes(solved, capsys):
     code, out, _ = run(capsys, "verify", "--delta", "1",
                        "--uv-csv", f"{solved}_uv.csv")
@@ -539,6 +548,17 @@ def test_bench_config_value_of_the_wrong_json_type_exits_1(tmp_path, capsys,
     code, out, err = run(capsys, "bench", "--config", str(path))
     assert code == 1 and out == ""
     assert err == f"error: bench config {key} must be {what}, got {value!r}\n"
+
+
+def test_bench_rejects_a_delta_that_is_not_finite_and_positive(tmp_path, capsys):
+    # NaN passed `d <= 0` and every row read NA, with exit status 0
+    path = tmp_path / "bench.json"
+    path.write_text(json.dumps({"deltas": [float("nan")]}))  # JSON NaN
+    for argv in (["--deltas", "nan,1", "--grid", "16,16", "--repetitions", "3"],
+                 ["--config", str(path)]):
+        code, out, err = run(capsys, "bench", *argv)
+        assert code == 1 and out == ""
+        assert err == "error: delta must be finite and > 0, got nan\n"
 
 
 def test_bench_flags_override_only_what_they_set(monkeypatch, capsys):

@@ -1,8 +1,10 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from rigidpde import analysis
 from rigidpde.errors import NonFiniteCoefficient
 from rigidpde.fields import (
     REFERENCE_WINDOW,
@@ -639,6 +641,107 @@ def test_kernels_match_meshgrid_reference_property():
                                 GridSpec(nx, ny))
 
     check()
+
+
+# --- row blocks ---------------------------------------------------------------
+# The kernels work through the grid in blocks of analysis.chunk_rows rows.
+# Every operation is pointwise and the maxima are exact, so no output may
+# depend on the block size, down to the sign of a zero.
+
+def in_blocks(rows, nx, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with blocks of ``rows`` rows of a grid nx wide."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "SCAN_CHUNK_NODES", rows * nx)
+        return fn(*args, **kwargs)
+
+
+def pipeline(fam, f0, region, grid):
+    """Grids and residual maxima of solve -> (u, v) -> w -> residuals."""
+    field = DeltaField(fam)
+    w = solve_characteristic(fam, f0, region, grid)
+    uv = to_real_pair(fam, w)
+    w2 = from_real_pair(fam, uv)
+    rep = system_residual(field, uv, mode="analytic")
+    fd = system_residual(field, uv, mode="fd")
+    grids = [w.values, w.wx, w.wy, uv.u, uv.v, *uv.partials, w2.values,
+             rep.r1, rep.r2, fd.r1, fd.r2]
+    return grids, (rep.max_r1, rep.max_r2, fd.max_r1, fd.max_r2, fd.relative)
+
+
+def check_block_invariance(fam, f0, region, grid, rows):
+    grids, maxima = in_blocks(rows, grid.nx, pipeline, fam, f0, region, grid)
+    whole, whole_maxima = in_blocks(grid.ny, grid.nx, pipeline, fam, f0,
+                                    region, grid)
+    for got, want in zip(grids, whole):
+        assert_bits(got, want)
+    assert repr(maxima) == repr(whole_maxima)  # repr tells NaN and -0.0
+
+
+@pytest.mark.parametrize("delta", [1.0, 1e-3, 1e-10])
+def test_kernels_independent_of_block_size(delta):
+    grid = GridSpec(13, 10)  # 3-row blocks leave a last block of one row
+    for f0 in REF_F0:
+        for rows in range(1, grid.ny + 1):
+            check_block_invariance(DeltaFamily(delta), parse_f0(f0), K, grid,
+                                   rows)
+
+
+def test_kernels_independent_of_block_size_property():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=60, deadline=None, derandomize=True)
+    @hyp.given(nx=st.integers(3, 40), ny=st.integers(3, 40),
+               log_delta=st.floats(-12.0, 0.0), f0=st.sampled_from(REF_F0),
+               data=st.data())
+    def check(nx, ny, log_delta, f0, data):
+        rows = data.draw(st.integers(1, ny), label="rows")
+        check_block_invariance(DeltaFamily(10.0 ** log_delta), parse_f0(f0),
+                               K, GridSpec(nx, ny), rows)
+
+    check()
+
+
+def test_residual_maxima_keep_nan_across_blocks():
+    fam = DeltaFamily(0.5)
+    uv = to_real_pair(fam, solve_characteristic(fam, LambdaPower(2), K,
+                                                GridSpec(7, 9)))
+    uv.partials[3][4, 2] = np.nan  # v_y in row 4; finite rows follow it
+    for rows in (1, 2, 4, 9):
+        rep = in_blocks(rows, 7, system_residual, DeltaField(fam), uv,
+                        mode="analytic")
+        assert np.isnan(rep.max_r1) and np.isnan(rep.max_r2)
+
+
+def test_kernel_memory_is_outputs_plus_blocks():
+    # Each kernel allocates its outputs once and forms its temporaries one
+    # block at a time.  The budget beyond the outputs is eight complex
+    # blocks plus the two boolean masks of the finiteness check, which
+    # spans the grid to name a bad node; any one whole-grid temporary
+    # (8 or 16 bytes a node) exceeds it.
+    fam = DeltaFamily(1e-3)
+    f0 = parse_f0(REF_F0[2])
+    grid = GridSpec(1025, 1025)
+    nodes = grid.nx * grid.ny
+    budget = (8 * analysis.chunk_rows(grid.nx, grid.ny) * grid.nx * 16
+              + 2 * nodes)
+    solve_characteristic(fam, f0, K, GridSpec(9, 9))  # first-call set-up
+
+    def peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            return fn(*args, **kwargs), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    w, used = peak(solve_characteristic, fam, f0, K, grid)
+    assert used <= 3 * 16 * nodes + budget  # w, wx, wy
+    uv, used = peak(to_real_pair, fam, w)
+    assert used <= 6 * 8 * nodes + budget   # u, v and four partials
+    _, used = peak(from_real_pair, fam, uv)
+    assert used <= 16 * nodes + budget
+    _, used = peak(system_residual, DeltaField(fam), uv, mode="analytic")
+    assert used <= 2 * 8 * nodes + budget   # r1, r2
 
 
 # --- serialization -------------------------------------------------------------
