@@ -87,5 +87,7 @@ bad = w.values.conj()  # conj(lambda) does not solve the transport equation
 res = transport_residual(DeltaField(fam), ComplexField(w.xs, w.ys, bad),
                          mode="fd")
 good = transport_residual(DeltaField(fam), w, mode="fd")
-print(f"|w_x + lambda*w_y|: solution {np.abs(good).max():.2e} vs "
-      f"conjugated field {np.abs(res).max():.2e}")
+print(f"|w_x + lambda*w_y|: solution {good.max_r1:.2e} vs "
+      f"conjugated field {res.max_r1:.2e}")
+print(f"relative to the cancelled terms: solution {good.relative:.2e} vs "
+      f"conjugated field {res.relative:.2e}")

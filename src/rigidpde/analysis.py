@@ -256,6 +256,12 @@ def chunk_rows(nx: int, ny: int) -> int:
     return min(max(1, SCAN_CHUNK_NODES // nx), ny)
 
 
+def row_blocks(nx: int, ny: int):
+    """Slices of the rows of an (ny, nx) grid in chunks of chunk_rows rows."""
+    rows = chunk_rows(nx, ny)
+    return [slice(a, a + rows) for a in range(0, ny, rows)]
+
+
 def scan_region(
     field: CoefficientField,
     region: Region,
@@ -289,8 +295,8 @@ def scan_region(
     # Running maxima of -|mu|, |mu|, A, -A, B, -B; np.maximum keeps NaN.
     ext = np.full(6, -np.inf)
     with np.errstate(all="ignore"):  # non-finite values raise below
-        for start in range(0, ys.size, rows):
-            y = ys[start:start + rows, None]
+        for s in row_blocks(xs.size, ys.size):
+            y = ys[s, None]
             n = y.shape[0]
             abs_mu, a, b, named = _scan_chunk(field, x, y, real[:, :n],
                                               cplx[:, :n])

@@ -22,6 +22,7 @@ broadcast shape.
 from __future__ import annotations
 
 import csv
+import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
@@ -135,25 +136,19 @@ def grid_axes(region: Region, grid: GridSpec):
 
 
 def _aligned_count(lo: float, hi: float, n: int) -> int:
-    """Nearest odd node count >= 2 placing a node exactly at 0 whenever 0
-    lies strictly inside [lo, hi]."""
-    needs_zero = lo < 0.0 < hi
-    if needs_zero:
-        flo, fhi = Fraction(lo), Fraction(hi)
-        frac = -flo / (fhi - flo)
+    """Nearest odd node count >= 3 placing a node exactly at 0 whenever 0
+    lies strictly inside [lo, hi], ties going down; n made odd when none
+    lies within max(64, n//8) of n.
 
-    def fits(m):
-        if m < 2 or m % 2 == 0:
-            return False
-        return not needs_zero or (frac * (m - 1)).denominator == 1
-
-    if fits(n):
-        return n
-    for off in range(1, max(64, n // 8)):
-        for cand in (n - off, n + off):
-            if fits(cand):
-                return cand
-    return n if n % 2 == 1 else n + 1
+    The counts that fit are 1 + k*lcm(2, q), k >= 1, with q the
+    denominator of the fraction -lo/(hi - lo) of the axis at 0."""
+    q = 1
+    if lo < 0.0 < hi:
+        q = (-Fraction(lo) / (Fraction(hi) - Fraction(lo))).denominator
+    step = math.lcm(2, q)
+    below = 1 + max((n - 1) // step, 1) * step  # above n when n < 1 + step
+    m = below if n - below <= below + step - n else below + step
+    return m if abs(m - n) < max(64, n // 8) else n | 1
 
 
 def aligned_gridspec(region: Region, nx: int, ny: int) -> GridSpec:
@@ -384,17 +379,18 @@ class GridTableField(CoefficientField):
 # significant digits.
 
 def write_lattice_csv(path, header, xs, ys, grids):
-    """Write value grids of shape (ny, nx) over the axes xs, ys."""
-    data = np.stack([np.asarray(g, dtype=float) for g in grids], axis=-1)
+    """Write value grids of shape (ny, nx) over the axes xs, ys, one grid
+    row at a time, so no copy of the grids is made."""
+    grids = [np.asarray(g, dtype=float) for g in grids]
     # One template per grid row: the x cells are formatted once, the y cell
     # once per row ("%s"), and only the values once per node ("%r").
     row = "".join(f"{x!r},%s" + ",%r" * len(grids) + "\r\n"
                   for x in np.asarray(xs, dtype=float).tolist())
     with open(path, "w", newline="") as fh:
         fh.write(",".join(header) + "\r\n")
-        for y, values in zip(np.asarray(ys, dtype=float).tolist(),
-                             data.reshape(data.shape[0], -1).tolist()):
-            fh.write(row.replace("%s", repr(y)) % tuple(values))
+        for j, y in enumerate(np.asarray(ys, dtype=float).tolist()):
+            values = np.stack([g[j] for g in grids], axis=-1).ravel()
+            fh.write(row.replace("%s", repr(y)) % tuple(values.tolist()))
 
 
 def read_lattice_csv(path, header):

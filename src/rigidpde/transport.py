@@ -11,8 +11,8 @@ directions and their residual checks live here.  Analytic partials
 travel one way only: the solver's wx, wy become the partials of (u, v)
 for the analytic system residual, while (u, v) -> w carries values.
 
-The solve, both identifications and the system residual fill their output
-grids one block of rows at a time (the region scan's ``chunk_rows``), so
+The solve, both identifications and both residuals fill their output
+grids one block of rows at a time (the region scan's ``row_blocks``), so
 their temporaries stay cache-sized; no output depends on the block size.
 """
 
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .analysis import chunk_rows, spectral_lambda
+from .analysis import row_blocks, spectral_lambda
 from .errors import StencilOutOfDomain
 from .fields import (
     CoefficientField,
@@ -244,12 +244,6 @@ class RealPairField(_GridField):
         return self.partials is not None
 
 
-def _row_blocks(xs, ys):
-    """Slices of the grid rows in blocks of ``chunk_rows`` rows."""
-    rows = chunk_rows(xs.size, ys.size)
-    return [slice(a, a + rows) for a in range(0, ys.size, rows)]
-
-
 def solve_characteristic(
     fam: DeltaFamily,
     f0: InitialData,
@@ -262,7 +256,7 @@ def solve_characteristic(
     The initial profiles in the catalog are entire, so the formula is
     evaluated on the full requested rectangle; that choice is recorded in
     the field metadata.  The arithmetic per node does not depend on delta.
-    Each block of rows (see _row_blocks) takes one f0 evaluation.
+    Each block of rows (see analysis.row_blocks) takes one f0 evaluation.
     """
     xs, ys = grid_axes(region, grid)
     x = xs[None, :]
@@ -271,7 +265,7 @@ def solve_characteristic(
     # rejects naming the first such node, so numpy need not warn here.
     with np.errstate(over="ignore", invalid="ignore"):
         inv = 1.0 / (1.0 + x)
-        for s in _row_blocks(xs, ys):
+        for s in row_blocks(xs.size, ys.size):
             y = ys[s, None]
             value, df = f0.value_and_derivative(
                 characteristic_coordinate(fam, (x, y)), fam.delta)
@@ -301,7 +295,7 @@ def from_real_pair(fam: DeltaFamily, uv: RealPairField) -> ComplexField:
     b = fam.delta * inv
     # Real and imaginary parts are written straight into the complex grid.
     w = np.empty(uv.u.shape, dtype=complex)
-    for s in _row_blocks(xs, ys):
+    for s in row_blocks(xs.size, ys.size):
         av = ys[s, None] * inv  # a
         av *= uv.v[s]
         np.add(uv.u[s], av, out=w.real[s])
@@ -327,7 +321,7 @@ def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
         inv = 1.0 / one_x
         b = fam.delta * inv
         inv_delta = 1.0 / fam.delta
-        for s in _row_blocks(xs, ys):
+        for s in row_blocks(xs.size, ys.size):
             p, q = w.values.real[s], w.values.imag[s]
             ratio = ys[s, None] * inv  # a
             ratio /= b  # equals y/delta
@@ -362,20 +356,23 @@ def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
 @dataclass
 class ResidualReport:
     """Maxima and grids of the two system residuals
-    r1 = u_x - alpha*v_y and r2 = v_x + u_y - beta*v_y."""
+    r1 = u_x - alpha*v_y and r2 = v_x + u_y - beta*v_y, or of the one
+    transport residual r1 = w_x + lambda*w_y (r2 and max_r2 None)."""
 
     max_r1: float
-    max_r2: float
+    max_r2: float | None
     r1: np.ndarray
-    r2: np.ndarray
+    r2: np.ndarray | None
     mode: str            # "analytic" or "fd"
     hx: float | None
     hy: float | None
-    relative: float | None  # fd mode only, see system_residual
+    relative: float | None  # fd mode only, see the two residual functions
 
     @property
     def max_residual(self) -> float:
-        return max(self.max_r1, self.max_r2)
+        if self.max_r2 is None:
+            return self.max_r1
+        return float(np.max([self.max_r1, self.max_r2]))  # max() can drop NaN
 
 
 # A central difference with step h of data of size |f| carries rounding of
@@ -395,25 +392,31 @@ def _relative(max_res: float, sizes) -> float:
     return max_res / float(np.max(sizes)) if max_res != 0.0 else 0.0
 
 
-def _grid_spacings(xs, ys):
-    hx = np.diff(xs)
-    hy = np.diff(ys)
+def _residual_partials(mode, xs, ys, grids, partials):
+    """Axes, steps and partial grids a residual is formed from: in
+    analytic mode the given ``partials``; in fd mode d/dx and d/dy of each
+    of ``grids`` by central differences, on the interior axes (a one-node
+    rim excluded)."""
+    if mode == "analytic":
+        if partials is None:
+            raise ValueError("analytic mode needs a field carrying partial grids")
+        return xs, ys, None, None, partials
+    if mode != "fd":
+        raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
+    hx, hy = np.diff(xs), np.diff(ys)
     if (np.max(hx) - np.min(hx) > 1e-9 * (xs[-1] - xs[0])
             or np.max(hy) - np.min(hy) > 1e-9 * (ys[-1] - ys[0])):
         raise ValueError("finite differences require a uniformly spaced grid")
-    return float(np.mean(hx)), float(np.mean(hy))
-
-
-def _central_diffs(f, hx, hy):
-    """Interior central differences; returns the derivative grids
-    restricted to the interior window (a one-node rim excluded)."""
-    if f.shape[0] <= 2 or f.shape[1] <= 2:
+    hx, hy = float(np.mean(hx)), float(np.mean(hy))
+    if ys.size <= 2 or xs.size <= 2:
         raise StencilOutOfDomain(
-            f"grid {f.shape} too small for a stride (1, 1) stencil"
+            f"grid {(ys.size, xs.size)} too small for a stride (1, 1) stencil"
         )
-    fx = (f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hx)
-    fy = (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hy)
-    return fx, fy
+    diffs = []
+    for f in grids:
+        diffs += [(f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hx),
+                  (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hy)]
+    return xs[1:-1], ys[1:-1], hx, hy, diffs
 
 
 def system_residual(
@@ -427,7 +430,7 @@ def system_residual(
     mode="fd" uses central differences of the stored grids (a one-node
     rim is excluded); mode="analytic" requires
     the field to carry closed-form partial grids.  Both work one block of
-    rows at a time (see _row_blocks); NaN propagates to the maxima.
+    rows at a time (see analysis.row_blocks); NaN propagates to the maxima.
 
     In fd mode the report's ``relative`` is the larger of max|r1| and
     max|r2|, each over the largest maximum of the terms it cancels: u_x
@@ -438,26 +441,15 @@ def system_residual(
     does not read as relative 1.  Adding a constant to u or v raises
     that floor by ~1e-14 of the constant only.
     """
-    xs, ys = uv.xs, uv.ys
-    if mode == "analytic":
-        if not uv.has_partials:
-            raise ValueError("analytic mode needs a field carrying partial grids")
-        ux, uy, vx, vy = uv.partials
-        hx = hy = None
-    elif mode == "fd":
-        hx, hy = _grid_spacings(xs, ys)
-        ux, uy = _central_diffs(uv.u, hx, hy)
-        vx, vy = _central_diffs(uv.v, hx, hy)
-        xs, ys = xs[1:-1], ys[1:-1]
-    else:
-        raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
+    xs, ys, hx, hy, (ux, uy, vx, vy) = _residual_partials(
+        mode, uv.xs, uv.ys, [uv.u, uv.v], uv.partials)
     r1 = np.empty((ys.size, xs.size))
     r2 = np.empty_like(r1)
     fd = mode == "fd"
     # Running maxima of |r1|, |r2| and, in fd mode, of |alpha*v_y|,
     # |beta*v_y|, |alpha| and |beta| over the blocks; np.maximum keeps NaN.
     ext = np.zeros(6 if fd else 2)
-    for s in _row_blocks(xs, ys):
+    for s in row_blocks(xs.size, ys.size):
         alpha, beta = field.values(xs[None, :], ys[s, None])
         b1, b2 = r1[s], r2[s]
         np.multiply(alpha, vy[s], out=b1)
@@ -484,47 +476,43 @@ def transport_residual(
     field: CoefficientField,
     w: ComplexField,
     mode: str = "fd",
-):
-    """Residual w_x + lambda*w_y of the scalar transport equation, with
-    lambda taken from the coefficient field (closed form when the field
-    has one, else from its alpha and beta).
+) -> ResidualReport:
+    """Residual r1 = w_x + lambda*w_y of the scalar transport equation,
+    with lambda taken from the coefficient field (closed form when the
+    field has one, else from its alpha and beta); r2 is None.
 
-    Returns the complex residual grid: full-shape for analytic mode, the
-    interior window for fd mode (one stencil rim excluded).
+    r1 is complex: the full grid in analytic mode, the interior window in
+    fd mode (one stencil rim excluded).  Both modes work one block of rows
+    at a time, like system_residual; NaN propagates to the maxima.
+
+    In fd mode the report's ``relative`` is max|r1| over the larger
+    maximum of the two terms it cancels, w_x and lambda*w_y = r1 - w_x.
+    Each term counts as at least the rounding of a central difference of
+    w, _ROUNDING*max|w|/h, as in system_residual but without |lambda|:
+    where |lambda| > 1 this floor is low, which can turn a pass into a
+    FAIL but never the reverse.
     """
-    if mode == "analytic":
-        if not w.has_partials:
-            raise ValueError("analytic mode needs a field carrying wx, wy grids")
-        wx, wy, xs, ys = w.wx, w.wy, w.xs, w.ys
-    elif mode == "fd":
-        hx, hy = _grid_spacings(w.xs, w.ys)
-        wx, wy = _central_diffs(w.values, hx, hy)
-        xs, ys = w.xs[1:-1], w.ys[1:-1]
-    else:
-        raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
-    res = spectral_lambda(field, xs[None, :], ys[:, None])
-    res = res * wy  # not in place: a field may hand out its own array
-    res += wx
-    return res
-
-
-def transport_relative(w: ComplexField, res) -> float:
-    """max|res| over the larger maximum of the two terms it cancels, for
-    ``res`` the fd transport residual of ``w`` (as transport_residual
-    returns it): w_x and lambda*w_y = res - w_x.
-
-    Only the central differences of w are taken again, not lambda.  Each
-    term counts as at least the rounding of a central difference of w,
-    _ROUNDING*max|w|/h, as in system_residual but without |lambda|: where
-    |lambda| > 1 this floor is low, which can turn a pass into a FAIL but
-    never the reverse.
-    """
-    hx, hy = _grid_spacings(w.xs, w.ys)
-    wx, _ = _central_diffs(w.values, hx, hy)
-    lam_wy = res - wx
-    rounding = _ROUNDING * float(np.abs(w.values).max()) / min(hx, hy)
-    return _relative(float(np.abs(res).max()),
-                     [np.abs(wx).max(), np.abs(lam_wy).max(), rounding])
+    xs, ys, hx, hy, (wx, wy) = _residual_partials(
+        mode, w.xs, w.ys, [w.values],
+        (w.wx, w.wy) if w.has_partials else None)
+    r1 = np.empty((ys.size, xs.size), dtype=complex)
+    fd = mode == "fd"
+    # Running maxima of |r1| and, in fd mode, of |w_x| and |lambda*w_y|.
+    ext = np.zeros(3 if fd else 1)
+    for s in row_blocks(xs.size, ys.size):
+        b = r1[s]
+        # not in place: a field may hand out its own array
+        np.multiply(spectral_lambda(field, xs[None, :], ys[s, None]), wy[s],
+                    out=b)
+        b += wx[s]
+        terms = [np.abs(wx[s]).max(), np.abs(b - wx[s]).max()] if fd else []
+        np.maximum(ext, [np.abs(b).max(), *terms], out=ext)
+    max_r1, *terms = (float(e) for e in ext)
+    relative = None
+    if fd:
+        rounding = _ROUNDING * float(np.abs(w.values).max()) / min(hx, hy)
+        relative = _relative(max_r1, [*terms, rounding])
+    return ResidualReport(max_r1, None, r1, None, mode, hx, hy, relative)
 
 
 # ---------------------------------------------------------------------------

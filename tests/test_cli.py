@@ -6,7 +6,7 @@ import re
 import numpy as np
 import pytest
 
-from rigidpde import analysis, bench as bench_mod
+from rigidpde import analysis, bench as bench_mod, cli
 from rigidpde.cli import _VALUE_OPTS, build_parser, main
 from rigidpde.fields import (
     REFERENCE_WINDOW,
@@ -262,6 +262,22 @@ def test_solve_files_are_byte_identical_to_golden(delta, f0, tmp_path, capsys):
     assert got == SOLVE_GOLDEN[delta, f0]
 
 
+def test_solve_identifies_values_without_partials(tmp_path, capsys,
+                                                  monkeypatch):
+    # no file holds partials, so solve drops w's before identifying (u, v)
+    seen = []
+    identify = cli.to_real_pair
+
+    def spy(fam, w):
+        seen.append(w.has_partials)
+        return identify(fam, w)
+
+    monkeypatch.setattr(cli, "to_real_pair", spy)
+    code, _, _ = run(capsys, "solve", "--delta", "1", "--f0", "lpow:2",
+                     "--grid", "9,9", "--out", str(tmp_path / "s"))
+    assert code == 0 and seen == [False]
+
+
 def test_solve_rejects_bad_f0(capsys):
     code, _, err = run(capsys, "solve", "--delta", "1", "--f0", "nope:1",
                        "--out", "/tmp/never")
@@ -422,6 +438,53 @@ def test_verify_stdout_is_byte_identical_to_golden(tmp_path, capsys):
                            f"--{kind}-csv", f"{base}_{kind}.csv")
         assert code == 0
         assert out == golden
+
+
+# stdout and exit code of verify for `solve --delta 1e-3 --f0
+# poly:0.3,-1i,0.25 --grid 129,97`, against a 65x49 table of the same
+# field (lambda interpolated between table nodes) and against delta 0.5,
+# recorded before the transport residual became a ResidualReport
+VERIFY_TABLE_GOLDEN = {
+    ("table", "w"): (0, """mode: fd (transport residual, boundary rim excluded)
+max |w_x + lambda*w_y| = 0.155279
+relative residual = 0.0299822 (over the largest cancelled term)
+threshold 0.05: pass
+"""),
+    ("table", "uv"): (0, """mode: fd (hx=0.0117188, hy=0.0208333, boundary rim excluded)
+max |r1| = 5.50384
+max |r2| = 2.00811
+relative residual = 0.00150087 (over the largest cancelled term)
+threshold 0.05: pass
+"""),
+    ("0.5", "w"): (2, """mode: fd (transport residual, boundary rim excluded)
+max |w_x + lambda*w_y| = 2.6353
+relative residual = 0.453634 (over the largest cancelled term)
+threshold 0.05: FAIL
+"""),
+    ("0.5", "uv"): (2, """mode: fd (hx=0.0117188, hy=0.0208333, boundary rim excluded)
+max |r1| = 954.264
+max |r2| = 0.000981051
+relative residual = 0.206821 (over the largest cancelled term)
+threshold 0.05: FAIL
+"""),
+}
+
+
+def test_verify_table_and_mismatch_stdout_is_byte_identical_to_golden(
+        tmp_path, capsys):
+    base = tmp_path / "s"
+    assert main(["solve", "--delta", "1e-3", "--f0", "poly:0.3,-1i,0.25",
+                 "--grid", "129,97", "--out", str(base)]) == 0
+    capsys.readouterr()
+    table = tmp_path / "table.csv"
+    write_field_csv(DeltaField(DeltaFamily(1e-3)), REFERENCE_WINDOW,
+                    GridSpec(65, 49), table)
+    for (source, kind), golden in VERIFY_TABLE_GOLDEN.items():
+        coeffs = (["--field-csv", str(table)] if source == "table"
+                  else ["--delta", source])
+        got = run(capsys, "verify", *coeffs, f"--{kind}-csv",
+                  f"{base}_{kind}.csv")[:2]
+        assert got == golden
 
 
 def test_verify_malformed_csv_exits_1(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from rigidpde.fields import (
     GridTableField,
     PerturbedDeltaField,
     Region,
+    _aligned_count,
     aligned_gridspec,
     grid_axes,
     numeric_partials,
@@ -327,6 +329,48 @@ def test_aligned_gridspec_awkward_fraction_falls_back_to_odd():
     # impossible at reasonable counts, the count is still odd
     grid = aligned_gridspec(Region(-0.3, 0.7712300001, -1.0, 1.0), 50, 50)
     assert grid.nx % 2 == 1
+
+
+def search_aligned_count(lo, hi, n):
+    """The reference: search outward from n, downward first, for an odd
+    count >= 2 whose grid has a node at 0 when 0 is inside (lo, hi); n
+    made odd when none lies within max(64, n//8)."""
+    needs_zero = lo < 0.0 < hi
+    frac = -Fraction(lo) / (Fraction(hi) - Fraction(lo)) if needs_zero else 0
+
+    def fits(m):
+        if m < 2 or m % 2 == 0:
+            return False
+        return not needs_zero or (frac * (m - 1)).denominator == 1
+
+    if fits(n):
+        return n
+    for off in range(1, max(64, n // 8)):
+        for cand in (n - off, n + off):
+            if fits(cand):
+                return cand
+    return n if n % 2 == 1 else n + 1
+
+
+def test_aligned_count_matches_the_search():
+    for lo, hi in ((-0.5, 1.0), (-1.0, 1.0), (0.25, 1.25), (-1.0, 0.0),
+                   (-0.3, 0.7712300001), (-2.0, 0.1), (-0.1, 7.0)):
+        for n in (-3, 0, 1, 2, 3, 63, 64, 65, 1001, 2001, 4097, 10001):
+            assert _aligned_count(lo, hi, n) == search_aligned_count(lo, hi, n)
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+    ratios = st.tuples(st.integers(1, 60), st.integers(1, 60)).map(
+        lambda pq: pq[0] / pq[1])
+    ends = st.one_of(ratios, st.floats(1e-3, 10.0))
+
+    @hyp.settings(max_examples=400, deadline=None, derandomize=True)
+    @hyp.given(lo=ends, hi=ends, n=st.integers(-10, 5000), signs=st.integers(0, 3))
+    def check(lo, hi, n, signs):
+        # both ends positive, or negative, or 0 strictly inside
+        lo, hi = [(lo, lo + hi), (-lo - hi, -lo), (-lo, hi), (-lo, hi)][signs]
+        assert _aligned_count(lo, hi, n) == search_aligned_count(lo, hi, n)
+
+    check()
 
 
 def test_grid_table_rejects_non_finite_entries():

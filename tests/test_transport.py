@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from rigidpde import analysis
+from rigidpde.analysis import spectral_lambda
 from rigidpde.errors import NonFiniteCoefficient
 from rigidpde.fields import (
     REFERENCE_WINDOW,
@@ -14,6 +15,7 @@ from rigidpde.fields import (
     GridSpec,
     Region,
     grid_axes,
+    write_lattice_csv,
 )
 from rigidpde.transport import (
     ComplexField,
@@ -32,7 +34,6 @@ from rigidpde.transport import (
     solve_characteristic,
     system_residual,
     to_real_pair,
-    transport_relative,
     transport_residual,
     write_complex_csv,
     write_field_header,
@@ -343,14 +344,16 @@ def test_transport_residual_exp_solution():
     fam = DeltaFamily(1.0)
     w = solve_characteristic(fam, ExpAffine(1.0, 1j), K, GridSpec(129, 129))
     analytic = transport_residual(DeltaField(fam), w, mode="analytic")
-    assert np.abs(analytic).max() < 1e-12
+    assert analytic.max_r1 < 1e-12
+    assert analytic.max_residual == analytic.max_r1
+    assert analytic.r2 is None and analytic.relative is None
     fd = transport_residual(DeltaField(fam), w, mode="fd")
     hx = w.xs[1] - w.xs[0]
     # second-order truncation; the constant ~600 is set by the third
     # derivatives of exp(lambda) near the x = -0.5 edge
-    assert np.abs(fd).max() < 1e3 * hx**2
+    assert fd.max_r1 < 1e3 * hx**2
     w2 = solve_characteristic(fam, ExpAffine(1.0, 1j), K, GridSpec(257, 257))
-    ratio = np.abs(fd).max() / np.abs(transport_residual(DeltaField(fam), w2, mode="fd")).max()
+    ratio = fd.max_r1 / transport_residual(DeltaField(fam), w2, mode="fd").max_r1
     assert 3.0 < ratio < 5.0  # halving h quarters the residual
 
 
@@ -358,11 +361,7 @@ def test_transport_residual_constant_is_zero():
     fam = DeltaFamily(0.5)
     xs, ys = grid_axes(K, GridSpec(9, 9))
     w = ComplexField(xs, ys, np.full((9, 9), 1.0 - 2.0j))
-    assert np.all(transport_residual(DeltaField(fam), w, mode="fd") == 0.0)
-
-
-def _transport_relative(field, w):
-    return transport_relative(w, transport_residual(field, w))
+    assert np.all(transport_residual(DeltaField(fam), w, mode="fd").r1 == 0.0)
 
 
 def test_relative_residuals_divide_by_the_cancelled_terms():
@@ -384,10 +383,10 @@ def test_relative_residuals_divide_by_the_cancelled_terms():
     assert system_residual(field, uv, mode="analytic").relative is None
     res = transport_residual(field, w)
     wx = np.gradient(w.values, w.xs, axis=1)[inner]
-    assert transport_relative(w, res) == pytest.approx(
-        np.abs(res).max() / max(np.abs(wx).max(), np.abs(res - wx).max()),
+    assert res.relative == pytest.approx(
+        np.abs(res.r1).max() / max(np.abs(wx).max(), np.abs(res.r1 - wx).max()),
         rel=1e-12)
-    assert 0.0 < transport_relative(w, res) < 1e-2
+    assert 0.0 < res.relative < 1e-2
     # u := 0 leaves r1 = -alpha*v_y, and v := 0 leaves r1 = u_x: all of
     # the term each cancels, so the relative residual is 1
     u = uv.u.copy()
@@ -401,7 +400,7 @@ def test_relative_residuals_divide_by_the_cancelled_terms():
     # w := y leaves w_x + lambda*w_y = lambda*w_y
     y_only = ComplexField(w.xs, w.ys, np.broadcast_to(w.ys[:, None] + 0j,
                                                       w.values.shape))
-    assert _transport_relative(field, y_only) == 1.0
+    assert transport_residual(field, y_only).relative == 1.0
     # lpow:1 is u = 0, v = 1: its partials are all rounding noise, which
     # the rounding floor of each term keeps from reading as relative ~1
     fam = DeltaFamily(0.1)
@@ -415,13 +414,13 @@ def test_relative_residuals_divide_by_the_cancelled_terms():
         assert system_residual(field, const).relative == 0.0
     for w0 in (1.0 - 2.0j, 0.0):
         flat = ComplexField(w.xs, w.ys, np.full_like(w.values, w0))
-        assert _transport_relative(field, flat) == 0.0
+        assert transport_residual(field, flat).relative == 0.0
     # a NaN in the data makes the relative residual NaN, which no
     # threshold passes
     uv.u[5, 5] = np.nan
     assert np.isnan(system_residual(field, uv).relative)
     flat.values[5, 5] = np.nan
-    assert np.isnan(_transport_relative(field, flat))
+    assert np.isnan(transport_residual(field, flat).relative)
 
 
 @pytest.mark.parametrize("shift", [1e3, 1e9])
@@ -439,7 +438,7 @@ def test_relative_residuals_ignore_a_constant_shift(shift):
     # conj(lambda**2) fails the transport law at every node
     for c in (0.0, shift, 1j * shift):
         bad = ComplexField(w.xs, w.ys, np.conj(w.values) + c)
-        assert _transport_relative(field, bad) > 0.5
+        assert transport_residual(field, bad).relative > 0.5
 
 
 def test_transport_residual_detects_non_solution():
@@ -448,7 +447,7 @@ def test_transport_residual_detects_non_solution():
     xs, ys = grid_axes(K, GridSpec(199, 201))  # x = 0 lands on a node
     X, Y = np.meshgrid(xs, ys)
     w = ComplexField(xs, ys, np.conj(spectral(fam, X, Y)))
-    res = transport_residual(DeltaField(fam), w, mode="fd")
+    res = transport_residual(DeltaField(fam), w, mode="fd").r1
     Xi = X[1:-1, 1:-1]
     np.testing.assert_allclose(res, 2j * fam.delta / (1.0 + Xi) ** 2,
                                rtol=2e-3)
@@ -469,7 +468,7 @@ def test_equivalence_both_directions():
         assert system_residual(field, uv, mode="analytic").max_residual < 1e-12
         w2 = from_real_pair(fam, uv)
         res = transport_residual(field, w2, mode="fd")
-        assert np.abs(res).max() < 2e3 * hx**2
+        assert res.max_r1 < 2e3 * hx**2
 
 
 # --- reference: the full-meshgrid formulas -------------------------------------
@@ -576,7 +575,7 @@ def check_against_reference(fam, f0, region, grid):
     assert_ulps(rep.r2, r2)
     assert rep.max_r1 == np.abs(r1).max() and rep.max_r2 == np.abs(r2).max()
     # the transport residual cancels; its rounding is on the scale of its terms
-    res = transport_residual(DeltaField(fam), w, mode="analytic")
+    res = transport_residual(DeltaField(fam), w, mode="analytic").r1
     assert_ulps(res, w.wx + ref_lambda(fam, w.xs, w.ys) * w.wy,
                 scale=np.abs(w.wx).max())
 
@@ -590,10 +589,10 @@ def check_against_reference(fam, f0, region, grid):
         assert_ulps(rep.r2, r2)
         wx, wy = central(w.values, rep.hx, rep.hy)
         xi, yi = w.xs[1:-1], w.ys[1:-1]
-        res = transport_residual(DeltaField(fam), w, mode="fd")
+        res = transport_residual(DeltaField(fam), w, mode="fd").r1
         assert_ulps(res, wx + ref_lambda(fam, xi, yi) * wy,
                     scale=np.abs(wx).max())
-        res = transport_residual(field, w)
+        res = transport_residual(field, w).r1
         lam = field.spectral(*np.meshgrid(xi, yi))
         assert_ulps(res, wx + lam * wy, scale=np.abs(wx).max())
 
@@ -612,7 +611,7 @@ def test_transport_residual_takes_lambda_from_any_field():
     assert (excinfo.value.name, excinfo.value.x, excinfo.value.y) == \
         ("alpha", xs[3], ys[6])
     w = ComplexField(xs[:4], ys, np.full((11, 4), 1.0 - 2.0j))
-    assert np.all(transport_residual(field, w) == 0.0)
+    assert np.all(transport_residual(field, w).r1 == 0.0)
 
 
 @pytest.mark.parametrize("region,grid", [
@@ -663,9 +662,12 @@ def pipeline(fam, f0, region, grid):
     w2 = from_real_pair(fam, uv)
     rep = system_residual(field, uv, mode="analytic")
     fd = system_residual(field, uv, mode="fd")
+    tr = transport_residual(field, w, mode="analytic")
+    tr_fd = transport_residual(field, w2, mode="fd")
     grids = [w.values, w.wx, w.wy, uv.u, uv.v, *uv.partials, w2.values,
-             rep.r1, rep.r2, fd.r1, fd.r2]
-    return grids, (rep.max_r1, rep.max_r2, fd.max_r1, fd.max_r2, fd.relative)
+             rep.r1, rep.r2, fd.r1, fd.r2, tr.r1, tr_fd.r1]
+    return grids, (rep.max_r1, rep.max_r2, fd.max_r1, fd.max_r2, fd.relative,
+                   tr.max_r1, tr_fd.max_r1, tr_fd.relative)
 
 
 def check_block_invariance(fam, f0, region, grid, rows):
@@ -707,10 +709,68 @@ def test_residual_maxima_keep_nan_across_blocks():
     uv = to_real_pair(fam, solve_characteristic(fam, LambdaPower(2), K,
                                                 GridSpec(7, 9)))
     uv.partials[3][4, 2] = np.nan  # v_y in row 4; finite rows follow it
+    w = solve_characteristic(fam, LambdaPower(2), K, GridSpec(7, 9))
+    w.wy[4, 2] = np.nan
     for rows in (1, 2, 4, 9):
         rep = in_blocks(rows, 7, system_residual, DeltaField(fam), uv,
                         mode="analytic")
         assert np.isnan(rep.max_r1) and np.isnan(rep.max_r2)
+        rep = in_blocks(rows, 7, transport_residual, DeltaField(fam), w,
+                        mode="analytic")
+        assert np.isnan(rep.max_r1) and np.isnan(rep.max_residual)
+    # a NaN u_y leaves r1 finite and r2 NaN, which max_residual keeps
+    uv.partials[3][4, 2] = 0.0
+    uv.partials[1][4, 2] = np.nan
+    rep = system_residual(DeltaField(fam), uv, mode="analytic")
+    assert np.isfinite(rep.max_r1) and np.isnan(rep.max_residual)
+
+
+# The transport residual as it was formed before it joined the row blocks:
+# whole-grid lambda*w_y + w_x, its maximum, and in fd mode the relative
+# size over the largest maximum of the cancelled terms w_x and
+# lambda*w_y, floored by the rounding of a central difference.  The
+# report must match it bit for bit.
+
+def ref_transport_residual(field, w, mode):
+    if mode == "analytic":
+        wx, wy, xs, ys = w.wx, w.wy, w.xs, w.ys
+    else:
+        hx, hy = float(np.mean(np.diff(w.xs))), float(np.mean(np.diff(w.ys)))
+        wx, wy = central(w.values, hx, hy)
+        xs, ys = w.xs[1:-1], w.ys[1:-1]
+    res = spectral_lambda(field, xs[None, :], ys[:, None]) * wy
+    res += wx
+    max_res = float(np.abs(res).max())
+    if mode == "analytic":
+        return res, max_res, None
+    rounding = (100.0 * np.finfo(float).eps * float(np.abs(w.values).max())
+                / min(hx, hy))
+    sizes = [np.abs(wx).max(), np.abs(res - wx).max(), rounding]
+    return res, max_res, (max_res / float(np.max(sizes)) if max_res != 0.0
+                          else 0.0)
+
+
+@pytest.mark.parametrize("mode", ["analytic", "fd"])
+@pytest.mark.parametrize("delta", [1.0, 1e-3, 1e-10])
+def test_transport_report_matches_whole_grid_reference(delta, mode):
+    fam = DeltaFamily(delta)
+    field = DeltaField(fam)
+    grid = GridSpec(65, 65)
+    for f0 in REF_F0:
+        w = solve_characteristic(fam, parse_f0(f0), K, grid)
+        # and a non-solution, whose lambda*w_y does not cancel w_x
+        bad = ComplexField(w.xs, w.ys, np.conj(w.values), wx=np.conj(w.wx),
+                           wy=2.0 * w.wy)
+        for data in (w, bad):
+            r1, max_r1, relative = ref_transport_residual(field, data, mode)
+            for rows in (1, 2, 7, grid.ny):
+                rep = in_blocks(rows, grid.nx, transport_residual, field,
+                                data, mode=mode)
+                assert_bits(rep.r1, r1)
+                assert repr((rep.max_r1, rep.relative)) == \
+                    repr((max_r1, relative))
+                assert rep.r2 is None and rep.max_r2 is None
+                assert rep.max_residual == rep.max_r1
 
 
 def test_kernel_memory_is_outputs_plus_blocks():
@@ -742,9 +802,32 @@ def test_kernel_memory_is_outputs_plus_blocks():
     assert used <= 16 * nodes + budget
     _, used = peak(system_residual, DeltaField(fam), uv, mode="analytic")
     assert used <= 2 * 8 * nodes + budget   # r1, r2
+    _, used = peak(transport_residual, DeltaField(fam), w, mode="analytic")
+    assert used <= 16 * nodes + budget      # r1
+    _, used = peak(transport_residual, DeltaField(fam), w, mode="fd")
+    assert used <= (3 * 16 + 8) * nodes + budget  # w_x, w_y, r1 and |w|
 
 
 # --- serialization -------------------------------------------------------------
+
+def test_csv_writer_memory_is_a_few_rows(tmp_path):
+    # The writer formats one grid row at a time, so its peak is a few rows
+    # of text: not a copy of the grids (4 MB at 513**2) nor the whole
+    # lattice as Python lists (about 20 MB with that copy).
+    n = 513
+    xs, ys = grid_axes(K, GridSpec(n, n))
+    rng = np.random.default_rng(0)
+    grids = [rng.standard_normal((n, n)) for _ in range(2)]
+    path = tmp_path / "lattice.csv"
+    header = ["x", "y", "a", "b"]
+    write_lattice_csv(path, header, xs[:3], ys[:3], [g[:3, :3] for g in grids])
+    tracemalloc.start()
+    try:
+        write_lattice_csv(path, header, xs, ys, grids)
+        used = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert used <= 8 * path.stat().st_size / n
 
 def test_csv_roundtrip_bit_exact(tmp_path):
     fam = DeltaFamily(0.3)
