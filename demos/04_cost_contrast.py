@@ -8,13 +8,13 @@ discretization must invert, explodes.  The optional baseline columns
 record the Neumann iteration's verdicts on a delta subset.
 """
 
-from rigidpde import BenchConfig, GridSpec, emit_report, run_benchmark
+from rigidpde import BenchConfig, GridSpec, run_benchmark
 
 print("sweep 1: characteristic solver only, deltas down to 1e-10")
 cfg = BenchConfig(deltas=(1.0, 1e-2, 1e-4, 1e-10), grid=GridSpec(512, 512),
                   f0="exp:1,0", repetitions=5)
 report = run_benchmark(cfg)
-print(emit_report(report, "csv"))
+print(report.to_csv())
 
 times = [r.char_time_s for r in report.rows]
 kappas = [r.kappa for r in report.rows]
@@ -25,7 +25,7 @@ print()
 print("sweep 2: with the Neumann baseline columns (coarser deltas)")
 cfg2 = BenchConfig(deltas=(1.0, 0.1, 0.01), grid=GridSpec(256, 256),
                    f0="lpow:2", repetitions=5, include_beltrami=True)
-print(emit_report(run_benchmark(cfg2), "csv"))
+print(run_benchmark(cfg2).to_csv())
 
 print("The baseline's iteration column grows until the budget is exhausted;")
 print("the characteristic columns do not move.  Checking the transport")

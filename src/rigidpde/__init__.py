@@ -79,6 +79,6 @@ from .beltrami import (
     family_mu_on_torus,
     solve_beltrami_neumann,
 )
-from .bench import BenchConfig, BenchReport, BenchRow, emit_report, run_benchmark
+from .bench import BenchConfig, BenchReport, BenchRow, run_benchmark
 
 __all__ = [name for name in dir() if not name.startswith("_")]

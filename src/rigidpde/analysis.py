@@ -9,7 +9,6 @@ vanishing makes the system exactly solvable by characteristics.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -234,9 +233,6 @@ class RegionScanReport:
         d.update(region=list(self.region.as_tuple()),
                  grid=[self.grid.nx, self.grid.ny])
         return d
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
     CSV_HEADER = "delta,inf_mu,sup_mu,kappa"
 

@@ -9,7 +9,6 @@ characteristic columns and the exploding condition number.
 
 from __future__ import annotations
 
-import json
 import statistics
 import time
 from dataclasses import asdict, dataclass, field as dc_field, fields
@@ -112,8 +111,12 @@ class BenchReport:
     def to_dict(self) -> dict:
         return {"config": self.config, "rows": [asdict(r) for r in self.rows]}
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+    def to_csv(self) -> str:
+        """The rows in a fixed column order; a missing cell is the literal NA."""
+        lines = [CSV_HEADER]
+        lines += [report_row(*(getattr(r, name) for name in CSV_HEADER.split(",")))
+                  for r in self.rows]
+        return "\n".join(lines) + "\n"
 
 
 def _timed_solves(cfg: BenchConfig, f0: InitialData, deltas):
@@ -170,15 +173,3 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
         report.rows.append(row)
     return report
 
-
-def emit_report(report: BenchReport, fmt: str = "csv") -> str:
-    """Render a report: CSV with the fixed column order (missing optional
-    cells are the literal NA) or full-precision JSON."""
-    if fmt == "json":
-        return report.to_json()
-    if fmt != "csv":
-        raise ValueError(f"format must be 'csv' or 'json', got {fmt!r}")
-    lines = [CSV_HEADER]
-    lines += [report_row(*(getattr(r, name) for name in CSV_HEADER.split(",")))
-              for r in report.rows]
-    return "\n".join(lines) + "\n"

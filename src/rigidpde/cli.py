@@ -114,6 +114,13 @@ def _emit(text: str, out_path):
             fh.write(text)
 
 
+def _emit_report(args, json_obj, csv_text: str):
+    """A report to --out or stdout: ``json_obj`` as indented JSON under
+    --json, else ``csv_text``; either ends in a newline."""
+    _emit(json.dumps(json_obj, indent=2) + "\n" if args.json else csv_text,
+          args.out)
+
+
 def _fail(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 1
@@ -142,28 +149,20 @@ def cmd_analyze(args) -> int:
     except NotElliptic as exc:
         print(f"not elliptic: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        _emit(report.to_json() + "\n", args.out)
-    else:
-        _emit(RegionScanReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n",
-              args.out)
-        if args.out in (None, "-"):
-            print(f"# rigid: {str(report.rigid).lower()} "
-                  f"(max obstruction {max(report.max_abs_A, report.max_abs_B):.3g}, "
-                  f"tol {report.rigidity_tol:g}, {report.partials} partials)")
+    _emit_report(args, report.to_dict(),
+                 RegionScanReport.CSV_HEADER + "\n" + report.to_csv_row() + "\n")
+    if not args.json and args.out in (None, "-"):
+        print(f"# rigid: {str(report.rigid).lower()} "
+              f"(max obstruction {max(report.max_abs_A, report.max_abs_B):.3g}, "
+              f"tol {report.rigidity_tol:g}, {report.partials} partials)")
     return 0
 
 
 def cmd_table1(args) -> int:
     grid = _parse_grid(args.grid)
     reports = degeneration_table(grid.nx, grid.ny)
-    if args.json:
-        _emit(json.dumps([r.to_dict() for r in reports], indent=2) + "\n",
-              args.out)
-    else:
-        lines = [RegionScanReport.CSV_HEADER]
-        lines += [r.to_csv_row() for r in reports]
-        _emit("\n".join(lines) + "\n", args.out)
+    lines = [RegionScanReport.CSV_HEADER] + [r.to_csv_row() for r in reports]
+    _emit_report(args, [r.to_dict() for r in reports], "\n".join(lines) + "\n")
     return 0
 
 
@@ -186,6 +185,8 @@ def cmd_solve(args) -> int:
 def cmd_verify(args) -> int:
     if (args.uv_csv is None) == (args.w_csv is None):
         return _fail("give exactly one of --uv-csv or --w-csv")
+    if not 0.0 < args.threshold < float("inf"):
+        return _fail(f"threshold must be finite and > 0, got {args.threshold}")
     field = _load_field(args)
 
     if args.uv_csv:
@@ -249,8 +250,7 @@ def cmd_bench(args) -> int:
     cfg = dataclasses.replace(
         cfg, **{k: v for k, v in given.items() if v is not None})
     report = bench_mod.run_benchmark(cfg)
-    _emit(bench_mod.emit_report(report, "json" if args.json else "csv"),
-          args.out)
+    _emit_report(args, report.to_dict(), report.to_csv())
     return 0  # divergent baseline rows are data, not failures
 
 

@@ -189,10 +189,12 @@ class CoefficientField:
         return None
 
     def check_domain(self, x, y, pad: float = 0.0):
+        """x and y as float arrays, once no node is outside the domain
+        widened by ``pad``; else DomainError naming the first such node."""
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
         if x.size == 0 or y.size == 0:
-            return
+            return x, y
         # NaN fails the comparison and propagates through max and min; an
         # infinity fails the comparison or lands in one of the bounds.
         x_hi, y_lo, y_hi = x.max(), y.min(), y.max()
@@ -210,6 +212,7 @@ class CoefficientField:
             bounds = tuple(float(v) for v in r.as_tuple())
             raise _bad_point(x, y, r.outside(x, y, pad), "point",
                              f" outside the field's region {bounds}")
+        return x, y
 
 
 def _bad_point(x, y, mask, before, after):
@@ -248,9 +251,8 @@ class DeltaField(CoefficientField):
 
     def _y_inv(self, x, y):
         """y and inv = 1/(1+x) as arrays, after the domain check."""
-        self.check_domain(x, y)
-        return (np.asarray(y, dtype=float),
-                1.0 / (1.0 + np.asarray(x, dtype=float)))
+        x, y = self.check_domain(x, y)
+        return y, 1.0 / (1.0 + x)
 
     def values(self, x, y):
         y, inv = self._y_inv(x, y)
@@ -308,9 +310,7 @@ class CallableField(CoefficientField):
         self.beta_fn = beta_fn
 
     def values(self, x, y):
-        self.check_domain(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = self.check_domain(x, y)
         alpha = np.asarray(self.alpha_fn(x, y), dtype=float)
         beta = np.asarray(self.beta_fn(x, y), dtype=float)
         return np.broadcast_to(alpha, np.broadcast(x, y).shape).copy(), \
@@ -351,9 +351,7 @@ class GridTableField(CoefficientField):
         return cls(xs, ys, alpha, beta)
 
     def values(self, x, y):
-        self.check_domain(x, y)
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
+        x, y = self.check_domain(x, y)
         ix = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, self.xs.size - 2)
         iy = np.clip(np.searchsorted(self.ys, y, side="right") - 1, 0, self.ys.size - 2)
         tx = (x - self.xs[ix]) / (self.xs[ix + 1] - self.xs[ix])

@@ -239,10 +239,6 @@ class RealPairField(_GridField):
     def __post_init__(self):
         self._check_grids(u=self.u, v=self.v)
 
-    @property
-    def has_partials(self) -> bool:
-        return self.partials is not None
-
 
 def solve_characteristic(
     fam: DeltaFamily,
@@ -393,14 +389,15 @@ def _relative(max_res: float, sizes) -> float:
 
 
 def _residual_partials(mode, xs, ys, grids, partials):
-    """Axes, steps and partial grids a residual is formed from: in
-    analytic mode the given ``partials``; in fd mode d/dx and d/dy of each
-    of ``grids`` by central differences, on the interior axes (a one-node
-    rim excluded)."""
+    """Axes and steps a residual is formed on, and a function giving the
+    partial grids on one block of its rows (a slice, as from
+    analysis.row_blocks): in analytic mode those rows of the given
+    ``partials``; in fd mode d/dx and d/dy of each of ``grids`` by central
+    differences, on the interior axes (a one-node rim excluded)."""
     if mode == "analytic":
         if partials is None:
             raise ValueError("analytic mode needs a field carrying partial grids")
-        return xs, ys, None, None, partials
+        return xs, ys, None, None, lambda s: [p[s] for p in partials]
     if mode != "fd":
         raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
     hx, hy = np.diff(xs), np.diff(ys)
@@ -412,11 +409,16 @@ def _residual_partials(mode, xs, ys, grids, partials):
         raise StencilOutOfDomain(
             f"grid {(ys.size, xs.size)} too small for a stride (1, 1) stencil"
         )
-    diffs = []
-    for f in grids:
-        diffs += [(f[1:-1, 2:] - f[1:-1, :-2]) / (2.0 * hx),
-                  (f[2:, 1:-1] - f[:-2, 1:-1]) / (2.0 * hy)]
-    return xs[1:-1], ys[1:-1], hx, hy, diffs
+
+    def block(s):
+        # interior rows a..b-1 are grid rows a+1..b (clamped: see row_blocks)
+        a, b = s.start, min(s.stop, ys.size - 2)
+        diffs = []
+        for f in grids:
+            diffs += [(f[a + 1:b + 1, 2:] - f[a + 1:b + 1, :-2]) / (2.0 * hx),
+                      (f[a + 2:b + 2, 1:-1] - f[a:b, 1:-1]) / (2.0 * hy)]
+        return diffs
+    return xs[1:-1], ys[1:-1], hx, hy, block
 
 
 def system_residual(
@@ -441,32 +443,33 @@ def system_residual(
     does not read as relative 1.  Adding a constant to u or v raises
     that floor by ~1e-14 of the constant only.
     """
-    xs, ys, hx, hy, (ux, uy, vx, vy) = _residual_partials(
+    xs, ys, hx, hy, partials_of = _residual_partials(
         mode, uv.xs, uv.ys, [uv.u, uv.v], uv.partials)
     r1 = np.empty((ys.size, xs.size))
     r2 = np.empty_like(r1)
     fd = mode == "fd"
     # Running maxima of |r1|, |r2| and, in fd mode, of |alpha*v_y|,
-    # |beta*v_y|, |alpha| and |beta| over the blocks; np.maximum keeps NaN.
-    ext = np.zeros(6 if fd else 2)
+    # |beta*v_y|, |alpha|, |beta|, |u_x|, |v_x| and |u_y| over the blocks;
+    # np.maximum keeps NaN.
+    ext = np.zeros(9 if fd else 2)
     for s in row_blocks(xs.size, ys.size):
+        ux, uy, vx, vy = partials_of(s)
         alpha, beta = field.values(xs[None, :], ys[s, None])
         b1, b2 = r1[s], r2[s]
-        np.multiply(alpha, vy[s], out=b1)
-        np.multiply(beta, vy[s], out=b2)
-        terms = ([_max_abs(b1), _max_abs(b2), _max_abs(alpha), _max_abs(beta)]
-                 if fd else [])
-        np.subtract(ux[s], b1, out=b1)
-        np.subtract(vx[s] + uy[s], b2, out=b2)
+        np.multiply(alpha, vy, out=b1)
+        np.multiply(beta, vy, out=b2)
+        terms = ([_max_abs(b1), _max_abs(b2), _max_abs(alpha), _max_abs(beta),
+                  _max_abs(ux), _max_abs(vx), _max_abs(uy)] if fd else [])
+        np.subtract(ux, b1, out=b1)
+        np.subtract(vx + uy, b2, out=b2)
         np.maximum(ext, [_max_abs(b1), _max_abs(b2), *terms], out=ext)
     max_r1, max_r2, *terms = (float(e) for e in ext)
     relative = None
     if fd:
-        alpha_vy, beta_vy, max_alpha, max_beta = terms
+        alpha_vy, beta_vy, max_alpha, max_beta, max_ux, max_vx, max_uy = terms
         rounding = _ROUNDING * max(_max_abs(uv.u), _max_abs(uv.v)) / min(hx, hy)
-        sizes1 = [_max_abs(ux), alpha_vy, rounding * max(1.0, max_alpha)]
-        sizes2 = [_max_abs(vx), _max_abs(uy), beta_vy,
-                  rounding * max(1.0, max_beta)]
+        sizes1 = [max_ux, alpha_vy, rounding * max(1.0, max_alpha)]
+        sizes2 = [max_vx, max_uy, beta_vy, rounding * max(1.0, max_beta)]
         relative = float(np.max([_relative(max_r1, sizes1),
                                  _relative(max_r2, sizes2)]))
     return ResidualReport(max_r1, max_r2, r1, r2, mode, hx, hy, relative)
@@ -492,7 +495,7 @@ def transport_residual(
     where |lambda| > 1 this floor is low, which can turn a pass into a
     FAIL but never the reverse.
     """
-    xs, ys, hx, hy, (wx, wy) = _residual_partials(
+    xs, ys, hx, hy, partials_of = _residual_partials(
         mode, w.xs, w.ys, [w.values],
         (w.wx, w.wy) if w.has_partials else None)
     r1 = np.empty((ys.size, xs.size), dtype=complex)
@@ -500,12 +503,13 @@ def transport_residual(
     # Running maxima of |r1| and, in fd mode, of |w_x| and |lambda*w_y|.
     ext = np.zeros(3 if fd else 1)
     for s in row_blocks(xs.size, ys.size):
+        wx, wy = partials_of(s)
         b = r1[s]
         # not in place: a field may hand out its own array
-        np.multiply(spectral_lambda(field, xs[None, :], ys[s, None]), wy[s],
+        np.multiply(spectral_lambda(field, xs[None, :], ys[s, None]), wy,
                     out=b)
-        b += wx[s]
-        terms = [np.abs(wx[s]).max(), np.abs(b - wx[s]).max()] if fd else []
+        b += wx
+        terms = [np.abs(wx).max(), np.abs(b - wx).max()] if fd else []
         np.maximum(ext, [np.abs(b).max(), *terms], out=ext)
     max_r1, *terms = (float(e) for e in ext)
     relative = None

@@ -188,6 +188,14 @@ def test_problem_rejects_non_finite_mu():
             BeltramiProblem(mu, grid)
 
 
+def test_problem_rejects_a_mismatched_mu_or_a_negative_budget():
+    grid = TorusGrid(16)
+    with pytest.raises(ValueError, match=r"^mu shape \(8, 8\) does not match grid 16$"):
+        BeltramiProblem(np.zeros((8, 8)), grid)
+    with pytest.raises(ValueError, match="^need max_iter >= 0, got -1$"):
+        BeltramiProblem(np.zeros((16, 16)), grid, max_iter=-1)
+
+
 def test_neumann_zero_budget_reports_max_iter():
     grid = TorusGrid(32)
     _, trace = solve_beltrami_neumann(

@@ -60,6 +60,16 @@ def test_analyze_bad_region_exits_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize("opt, value, message", [
+    ("--region", "0,1,2", "region must be x_min,x_max,y_min,y_max, got '0,1,2'"),
+    ("--grid", "3,3,3", "grid must be nx,ny, got '3,3,3'"),
+])
+def test_region_and_grid_need_their_count_of_numbers(capsys, opt, value, message):
+    code, out, err = run(capsys, "analyze", "--delta", "1", opt, value)
+    assert code == 1 and out == ""
+    assert err == f"error: {message}\n"
+
+
 def test_analyze_requires_exactly_one_source(capsys):
     code, _, err = run(capsys, "analyze", "--region", "0,1,0,1")
     assert code == 1
@@ -188,6 +198,18 @@ def test_table1_csv_golden(capsys):
     code, out, _ = run(capsys, "table1", "--grid", "201,201")
     assert code == 0
     assert out == TABLE_GOLDEN
+
+
+# sha256 of `table1 --grid 201,201 --json`, recorded before every report
+# went through one emission rule
+TABLE_JSON_GOLDEN = "f710d6194a05e83452a68a25339856acd695ea0e5e05f39d34e432e15bf4c7a3"
+
+
+def test_table1_json_is_byte_identical_to_golden(capsys):
+    code, out, _ = run(capsys, "table1", "--grid", "201,201", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == TABLE_JSON_GOLDEN
+    assert [r["delta"] for r in json.loads(out)] == list(analysis.TABLE_DELTAS)
 
 
 def test_table1_kappa_delta_scaling(capsys):
@@ -487,6 +509,25 @@ def test_verify_table_and_mismatch_stdout_is_byte_identical_to_golden(
         assert got == golden
 
 
+def test_verify_needs_exactly_one_solution_file(solved, capsys):
+    for files in ([], ["--uv-csv", f"{solved}_uv.csv", "--w-csv", f"{solved}_w.csv"]):
+        code, out, err = run(capsys, "verify", "--delta", "1", *files)
+        assert code == 1 and out == ""
+        assert err == "error: give exactly one of --uv-csv or --w-csv\n"
+
+
+@pytest.mark.parametrize("threshold, shown", [
+    ("nan", "nan"), ("inf", "inf"), ("0", "0.0"), ("-1", "-1.0")])
+def test_verify_threshold_must_be_finite_and_positive(solved, capsys,
+                                                      threshold, shown):
+    # a bad argument, not a verdict: nan would read as FAIL (exit 2), 0 and
+    # -1 could never pass, and inf would pass any file
+    code, out, err = run(capsys, "verify", "--delta", "1", "--uv-csv",
+                         f"{solved}_uv.csv", "--threshold", threshold)
+    assert code == 1 and out == ""
+    assert err == f"error: threshold must be finite and > 0, got {shown}\n"
+
+
 def test_verify_malformed_csv_exits_1(tmp_path, capsys):
     path = tmp_path / "broken.csv"
     path.write_text("x,y,u\n0,0,1\n")
@@ -582,9 +623,26 @@ def test_bench_config_file(tmp_path, capsys):
     path.write_text(json.dumps(cfg))
     code, out, _ = run(capsys, "bench", "--config", str(path), "--json")
     assert code == 0
+    assert out.endswith("}\n")  # like every other report
     report = json.loads(out)
     assert report["config"]["f0"] == "lpow:2"
     assert report["rows"][0]["error"] is None
+
+
+def test_bench_records_a_row_that_fails_and_goes_on(capsys):
+    # at delta = 1e-310 the solve works but 1/b overflows in to_real_pair
+    argv = ["bench", "--deltas", "1e-310,1", "--grid", "16,16",
+            "--repetitions", "3"]
+    code, out, _ = run(capsys, *argv, "--json")
+    assert code == 0 and out.endswith("}\n")
+    bad, good = json.loads(out)["rows"]
+    assert bad["error"] == ("NonFiniteCoefficient: non-finite u = inf "
+                            "at (x=-0.5, y=-1.0)")
+    assert bad["kappa"] is None and bad["char_residual"] is None
+    assert good["error"] is None and good["kappa"] > 0
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert re.fullmatch(r"1e-310,NA,\S+,NA,NA,NA", out.splitlines()[1])
 
 
 def test_bench_config_file_with_a_removed_key_exits_1(tmp_path, capsys):

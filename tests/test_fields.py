@@ -53,6 +53,12 @@ def test_region_validation():
         Region(0.0, 1.0, 1.0, -1.0)
 
 
+def test_grid_spec_needs_two_nodes_per_axis():
+    for nx, ny in ((1, 5), (5, 1), (0, 0)):
+        with pytest.raises(ValueError, match="^need at least 2 nodes per axis"):
+            GridSpec(nx, ny)
+
+
 def test_delta_coefficients_at_origin():
     cs = DeltaField(DeltaFamily(1.0)).sample(0.0, 0.0)
     assert cs.alpha == 1.0
@@ -288,6 +294,33 @@ def test_grid_table_rejects_bad_input(tmp_path):
                       '0,1,2,0\r\n1,1,2,"0.5"\r\n')
     field = GridTableField.from_csv(quoted)
     assert field.alpha_tab[0, 0] == 2.0 and field.beta_tab[1, 1] == 0.5
+
+
+def test_grid_table_rejects_a_bad_lattice():
+    two = [0.0, 1.0]
+    table = np.ones((2, 2))
+    for xs, ys, message in [
+        ([0.0], two, "need at least a 2x2 lattice"),
+        ([[0.0, 1.0]], two, "need at least a 2x2 lattice"),
+        ([0.0, 0.0, 1.0], two, "lattice coordinates must be strictly increasing"),
+        (two, [1.0, 0.0], "lattice coordinates must be strictly increasing"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            GridTableField(xs, ys, np.ones((len(ys), np.size(xs))),
+                           np.zeros((len(ys), np.size(xs))))
+    for alpha, beta in ((np.ones((2, 3)), table), (table, np.ones((3, 2)))):
+        with pytest.raises(ValueError,
+                           match=r"^tables must have shape \(ny, nx\) = \(2, 2\)$"):
+            GridTableField(two, two, alpha, beta)
+
+
+def test_lattice_csv_with_duplicate_points_is_not_a_lattice(tmp_path):
+    # four rows over two x and two y values, but (1, 0) and (0, 1) missing
+    path = tmp_path / "dup.csv"
+    path.write_text("x,y,alpha,beta\n0,0,1,0\n0,0,1,0\n1,1,1,0\n1,1,1,0\n")
+    with pytest.raises(ValueError) as exc:
+        GridTableField.from_csv(path)
+    assert str(exc.value) == f"{path}: points do not form a rectangular lattice"
 
 
 def test_field_evaluation_outside_region_fails():

@@ -6,7 +6,7 @@ import pytest
 
 from rigidpde import analysis
 from rigidpde.analysis import spectral_lambda
-from rigidpde.errors import NonFiniteCoefficient
+from rigidpde.errors import NonFiniteCoefficient, StencilOutOfDomain
 from rigidpde.fields import (
     REFERENCE_WINDOW,
     CallableField,
@@ -128,6 +128,15 @@ def test_parse_complex_rejects_garbage():
     for bad in ("", "one", "1+2", "2i+1"):
         with pytest.raises(ValueError):
             parse_complex(bad)
+
+
+def test_initial_data_rejects_bad_descriptors():
+    with pytest.raises(ValueError, match="^polynomial needs at least one coefficient$"):
+        Polynomial(())
+    with pytest.raises(ValueError, match=r"^exp takes c\[,d\], got '1,2,3'$"):
+        parse_f0("exp:1,2,3")
+    with pytest.raises(ValueError, match="^lpow takes a nonnegative integer, got 'x'$"):
+        parse_f0("lpow:x")
 
 
 def test_f0_descriptor_roundtrip():
@@ -294,6 +303,38 @@ def coefficient_pair(fam, grid):
     return RealPairField(xs, ys, -cs.alpha, -cs.beta,
                          partials=(-cs.alpha_x, -cs.alpha_y,
                                    -cs.beta_x, -cs.beta_y))
+
+
+def test_solution_grids_must_match_the_axes():
+    xs, ys = np.linspace(0.0, 1.0, 3), np.linspace(0.0, 1.0, 2)
+    with pytest.raises(ValueError, match=r"^grid shapes \(3, 3\) do not match \(2, 3\)$"):
+        ComplexField(xs, ys, np.zeros((3, 3)))
+    with pytest.raises(ValueError,
+                       match=r"^grid shapes \(2, 3\)/\(3, 2\) do not match \(2, 3\)$"):
+        RealPairField(xs, ys, np.zeros((2, 3)), np.zeros((3, 2)))
+
+
+def test_residuals_reject_what_they_cannot_difference():
+    fam = DeltaFamily(0.5)
+    field = DeltaField(fam)
+    w = solve_characteristic(fam, LambdaPower(2), K, GridSpec(9, 7))
+    uv = to_real_pair(fam, w)
+    bare = RealPairField(uv.xs, uv.ys, uv.u, uv.v)
+    with pytest.raises(ValueError, match="^analytic mode needs a field carrying partial grids$"):
+        system_residual(field, bare, mode="analytic")
+    with pytest.raises(ValueError, match="^analytic mode needs a field carrying partial grids$"):
+        transport_residual(field, ComplexField(w.xs, w.ys, w.values), mode="analytic")
+    with pytest.raises(ValueError, match="^mode must be 'fd' or 'analytic', got 'spectral'$"):
+        system_residual(field, uv, mode="spectral")
+    xs = uv.xs.copy()
+    xs[4] += 0.01 * (xs[1] - xs[0])
+    with pytest.raises(ValueError, match="^finite differences require a uniformly spaced grid$"):
+        system_residual(field, RealPairField(xs, uv.ys, uv.u, uv.v), mode="fd")
+    for nx, ny in ((2, 7), (9, 2)):
+        thin = solve_characteristic(fam, LambdaPower(2), K, GridSpec(nx, ny))
+        with pytest.raises(StencilOutOfDomain, match=(
+                rf"^grid \({ny}, {nx}\) too small for a stride \(1, 1\) stencil$")):
+            transport_residual(field, thin, mode="fd")
 
 
 def test_explicit_pair_analytic_residual_vanishes():
@@ -718,6 +759,12 @@ def test_residual_maxima_keep_nan_across_blocks():
         rep = in_blocks(rows, 7, transport_residual, DeltaField(fam), w,
                         mode="analytic")
         assert np.isnan(rep.max_r1) and np.isnan(rep.max_residual)
+    # in fd mode, a NaN v in row 4 reaches both residuals through v_y
+    uv.v[4, 2] = np.nan
+    for rows in (1, 2, 4, 7):
+        rep = in_blocks(rows, 5, system_residual, DeltaField(fam), uv, mode="fd")
+        assert np.isnan(rep.max_r1) and np.isnan(rep.max_r2)
+        assert np.isnan(rep.relative)
     # a NaN u_y leaves r1 finite and r2 NaN, which max_residual keeps
     uv.partials[3][4, 2] = 0.0
     uv.partials[1][4, 2] = np.nan
@@ -804,8 +851,11 @@ def test_kernel_memory_is_outputs_plus_blocks():
     assert used <= 2 * 8 * nodes + budget   # r1, r2
     _, used = peak(transport_residual, DeltaField(fam), w, mode="analytic")
     assert used <= 16 * nodes + budget      # r1
+    # fd mode differences one block of rows at a time as well
+    _, used = peak(system_residual, DeltaField(fam), uv, mode="fd")
+    assert used <= 2 * 8 * nodes + budget   # r1, r2
     _, used = peak(transport_residual, DeltaField(fam), w, mode="fd")
-    assert used <= (3 * 16 + 8) * nodes + budget  # w_x, w_y, r1 and |w|
+    assert used <= (16 + 8) * nodes + budget  # r1 and |w|
 
 
 # --- serialization -------------------------------------------------------------
