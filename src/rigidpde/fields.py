@@ -347,8 +347,8 @@ class GridTableField(CoefficientField):
     def from_csv(cls, path) -> "GridTableField":
         """Load a field from CSV with header x,y,alpha,beta; the rows must
         fill a complete rectangular lattice (any order)."""
-        xs, ys, (alpha, beta) = read_lattice_csv(path, ["x", "y", "alpha", "beta"])
-        return cls(xs, ys, alpha, beta)
+        xs, ys, values = read_lattice_csv(path, ["x", "y", "alpha", "beta"])
+        return cls(xs, ys, values[..., 0], values[..., 1])
 
     def values(self, x, y):
         x, y = self.check_domain(x, y)
@@ -375,6 +375,8 @@ class GridTableField(CoefficientField):
 # lines ended by \r\n as csv.writer does.  Finite data survives a
 # write/read cycle bit-exactly.  Report CSVs (report_row) instead carry 6
 # significant digits.
+_LOADTXT = dict(delimiter=",", ndmin=2, quotechar='"', comments=None)
+
 
 def write_lattice_csv(path, header, xs, ys, grids):
     """Write value grids of shape (ny, nx) over the axes xs, ys, one grid
@@ -395,22 +397,22 @@ def read_lattice_csv(path, header):
     """Read a file written by write_lattice_csv (rows in any order, LF or
     CRLF line ends, fields optionally double-quoted).
 
-    Returns (xs, ys, [value grids of shape (ny, nx)]).  Raises ValueError
-    naming the file on a wrong header, a missing or ragged body, a
-    non-finite entry (with its x, y) or points that do not form a complete
-    rectangular lattice.
+    Returns (xs, ys, values of shape (ny, nx, len(header) - 2)), parsing
+    rows in the writer's order in blocks.  Raises ValueError naming the
+    file on a wrong header, a missing or ragged body, a non-finite entry
+    (with its x, y) or points that do not form a rectangular lattice.
     """
     try:
-        with open(path) as fh:
+        with open(path) as fh, warnings.catch_warnings():
             line = fh.readline()
             got = next(csv.reader([line]), None) if line else None
             if got is None or [c.strip() for c in got] != header:
                 raise ValueError(f"expected header {','.join(header)}, got {got}")
-            with warnings.catch_warnings():
-                # a header-only file is reported below, not warned about
-                warnings.simplefilter("ignore", UserWarning)
-                data = np.loadtxt(fh, delimiter=",", ndmin=2, quotechar='"',
-                                  comments=None)
+            # a header-only or exhausted file is reported, not warned about
+            warnings.simplefilter("ignore", UserWarning)
+            if lattice := _read_in_order(path, fh, len(header)):
+                return lattice
+            data = np.loadtxt(path, skiprows=1, **_LOADTXT)
         if data.shape[0] == 0:
             raise ValueError("no data rows")
         if data.shape[1] != len(header):
@@ -424,12 +426,41 @@ def read_lattice_csv(path, header):
         if xs.size * ys.size != x.size:
             raise ValueError(f"{x.size} points do not fill a {xs.size} x {ys.size} lattice")
         order = np.lexsort((x, y))  # y-major, x varying fastest
-        xo, yo, *grids = (c[order].reshape(ys.size, xs.size) for c in data.T)
+        xo, yo = (c[order].reshape(ys.size, xs.size) for c in (x, y))
         if not (np.all(xo == xs[None, :]) and np.all(yo == ys[:, None])):
             raise ValueError("points do not form a rectangular lattice")
-        return xs, ys, grids
+        return xs, ys, data[order, 2:].reshape(ys.size, xs.size, -1)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_in_order(path, fh, columns):
+    """read_lattice_csv of a file in the writer's order, or None."""
+    from .analysis import SCAN_CHUNK_NODES  # analysis imports this module
+    with open(path, "rb") as raw:  # a buffer row for each line
+        lines = sum(np.count_nonzero(np.frombuffer(b, np.uint8) == ord("\n"))
+                    for b in iter(lambda: raw.read(1 << 16), b""))
+    values, n, row_ys = np.empty((lines, columns - 2)), 0, []
+    try:  # ragged rows, one column, a cell that is not a number, too many rows
+        while len(block := np.loadtxt(fh, max_rows=SCAN_CHUNK_NODES, **_LOADTXT)):
+            x, y = block[:, :2].T.view(np.int64)
+            if n == 0:  # the first grid row ends where y first changes
+                xs, last = x[:np.argmax(y != y[0]) or len(x)].copy(), ~y[:1]
+            col = np.arange(n, n + len(x)) % xs.size  # y changes at col 0
+            if (block.shape[1] != columns or not np.isfinite(block).all()
+                    or not np.array_equal(x, xs[col]) or not np.array_equal(
+                        y != np.concatenate((last, y[:-1])), col == 0)):
+                return None
+            values[n:n + len(x)] = block[:, 2:]
+            n, last = n + len(x), y[-1:].copy()
+            row_ys.append(y[col == 0])
+            del x, y, block  # before the next block is parsed
+    except ValueError:
+        return None
+    if n and n % xs.size == 0:  # else None: the whole parse decides
+        xs, ys = xs.view(float), np.concatenate(row_ys).view(float)
+        if np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0):
+            return xs, ys, values[:n].reshape(ys.size, xs.size, -1)
 
 
 def report_row(*cells) -> str:

@@ -500,8 +500,8 @@ def transport_residual(
         (w.wx, w.wy) if w.has_partials else None)
     r1 = np.empty((ys.size, xs.size), dtype=complex)
     fd = mode == "fd"
-    # Running maxima of |r1| and, in fd mode, of |w_x| and |lambda*w_y|.
-    ext = np.zeros(3 if fd else 1)
+    # Running maxima of |r1| and, in fd mode, of |w_x|, |lambda*w_y| and |w|.
+    ext = np.zeros(4 if fd else 1)
     for s in row_blocks(xs.size, ys.size):
         wx, wy = partials_of(s)
         b = r1[s]
@@ -509,13 +509,13 @@ def transport_residual(
         np.multiply(spectral_lambda(field, xs[None, :], ys[s, None]), wy,
                     out=b)
         b += wx
-        terms = [np.abs(wx).max(), np.abs(b - wx).max()] if fd else []
+        terms = ([np.abs(wx).max(), np.abs(b - wx).max(),
+                  np.abs(w.values[s.start:s.stop + 2]).max()] if fd else [])
         np.maximum(ext, [np.abs(b).max(), *terms], out=ext)
     max_r1, *terms = (float(e) for e in ext)
     relative = None
-    if fd:
-        rounding = _ROUNDING * float(np.abs(w.values).max()) / min(hx, hy)
-        relative = _relative(max_r1, [*terms, rounding])
+    if fd:  # the floor of both terms: the rounding of w's differences
+        relative = _relative(max_r1, [*terms[:2], _ROUNDING * terms[2] / min(hx, hy)])
     return ResidualReport(max_r1, None, r1, None, mode, hx, hy, relative)
 
 
@@ -534,15 +534,14 @@ def write_real_pair_csv(field: RealPairField, path):
 
 
 def read_complex_csv(path) -> ComplexField:
-    xs, ys, (re, im) = read_lattice_csv(path, ["x", "y", "re", "im"])
-    values = re.astype(complex)  # not re + 1j*im, which turns -0.0 into 0.0
-    values.imag = im
-    return ComplexField(xs, ys, values)
+    xs, ys, values = read_lattice_csv(path, ["x", "y", "re", "im"])
+    # (re, im) side by side are complex: no copy, no -0.0 lost to re + 1j*im
+    return ComplexField(xs, ys, values.view(complex)[..., 0])
 
 
 def read_real_pair_csv(path) -> RealPairField:
-    xs, ys, (u, v) = read_lattice_csv(path, ["x", "y", "u", "v"])
-    return RealPairField(xs, ys, u, v)
+    xs, ys, values = read_lattice_csv(path, ["x", "y", "u", "v"])
+    return RealPairField(xs, ys, values[..., 0], values[..., 1])
 
 
 def field_header(field: ComplexField) -> dict:

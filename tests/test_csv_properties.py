@@ -1,7 +1,8 @@
 """Property tests of the lattice CSV codec shared by solution fields and
 coefficient tables: the writer emits the same bytes as a per-value
-csv.writer loop, and a write/read cycle returns every finite double
-bit-exactly, for any lattice shape from 2x2 up."""
+csv.writer loop, a write/read cycle returns every finite double
+bit-exactly, for any lattice shape from 2x2 up, and the order of the data
+rows does not change what is read."""
 
 import csv
 
@@ -78,9 +79,26 @@ def test_lattice_csv_roundtrip_bit_exact(tmp_path, lattice):
     header = ["x", "y"] + [f"c{i}" for i in range(len(grids))]
     path = tmp_path / "lattice.csv"
     write_lattice_csv(path, header, xs, ys, grids)
-    xs2, ys2, grids2 = read_lattice_csv(path, header)
+    xs2, ys2, values = read_lattice_csv(path, header)
     assert bits(xs2) == bits(xs) and bits(ys2) == bits(ys)
-    assert [bits(g) for g in grids2] == [bits(g) for g in grids]
+    assert [bits(g) for g in np.moveaxis(values, -1, 0)] == [bits(g) for g in grids]
+
+
+@SETTINGS
+@given(lattices(), st.data())
+def test_lattice_csv_rows_in_any_order_read_back_the_same(tmp_path, lattice, data):
+    # a file in the writer's order is read in blocks, any other order by
+    # the whole parse: both give the same bits
+    xs, ys, grids = lattice
+    header = ["x", "y"] + [f"c{i}" for i in range(len(grids))]
+    path, shuffled = tmp_path / "lattice.csv", tmp_path / "shuffled.csv"
+    write_lattice_csv(path, header, xs, ys, grids)
+    first, *rows = path.read_bytes().splitlines(keepends=True)
+    shuffled.write_bytes(first + b"".join(data.draw(st.permutations(rows))))
+    xs2, ys2, values = read_lattice_csv(path, header)
+    xs3, ys3, values3 = read_lattice_csv(shuffled, header)
+    assert bits(xs3) == bits(xs2) and bits(ys3) == bits(ys2)
+    assert bits(values3) == bits(values)
 
 
 @SETTINGS

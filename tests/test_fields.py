@@ -4,6 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from rigidpde import analysis, fields
 from rigidpde.analysis import burgers_residual
 from rigidpde.errors import DomainError, NonFiniteCoefficient, StencilOutOfDomain
 from rigidpde.fields import (
@@ -21,8 +22,10 @@ from rigidpde.fields import (
     aligned_gridspec,
     grid_axes,
     numeric_partials,
+    read_lattice_csv,
     report_row,
     write_field_csv,
+    write_lattice_csv,
 )
 
 
@@ -321,6 +324,66 @@ def test_lattice_csv_with_duplicate_points_is_not_a_lattice(tmp_path):
     with pytest.raises(ValueError) as exc:
         GridTableField.from_csv(path)
     assert str(exc.value) == f"{path}: points do not form a rectangular lattice"
+
+
+LATTICE_HEADER = ["x", "y", "u", "v"]
+
+
+@pytest.fixture
+def block_reads(monkeypatch):
+    """Parse lattice CSVs in blocks of 3 lines; returns the list of what the
+    in-order block path returned for each read (None: the whole parse)."""
+    monkeypatch.setattr(analysis, "SCAN_CHUNK_NODES", 3)
+    results = []
+    block_path = fields._read_in_order
+
+    def spy(*args):
+        results.append(block_path(*args))
+        return results[-1]
+    monkeypatch.setattr(fields, "_read_in_order", spy)
+    return results
+
+
+@pytest.mark.parametrize("nx, ny, in_order", [
+    (2, 5, True),   # grid rows end inside blocks
+    (2, 3, True),   # 6 rows: the read after the last full block finds none
+    (5, 2, False),  # a grid row wider than a block: the whole parse
+])
+def test_lattice_csv_reads_in_blocks(tmp_path, block_reads, nx, ny, in_order):
+    xs, ys = np.arange(nx) * 0.5, np.arange(ny) * 0.25 - 1.0
+    xs[0] = -0.0  # signed zeros come back as written
+    u = xs[None, :] + 10.0 * ys[:, None]
+    u[0, 1] = -0.0
+    path = tmp_path / "lattice.csv"
+    write_lattice_csv(path, LATTICE_HEADER, xs, ys, [u, -u])
+    xs2, ys2, values = read_lattice_csv(path, LATTICE_HEADER)
+    assert (block_reads[-1] is not None) == in_order
+    assert xs2.tobytes() == xs.tobytes() and ys2.tobytes() == ys.tobytes()
+    assert values.tobytes() == np.stack([u, -u], axis=-1).tobytes()
+
+
+@pytest.mark.parametrize("first, last, row, message", [
+    (6, 7, "0,3,3", "the number of columns changed from 4 to 3 at row 7; "
+                    "use `usecols` to select a subset and avoid this error"),
+    (3, 6, "{x},{y},1", "the number of columns changed from 4 to 3 at row 4; "
+                        "use `usecols` to select a subset and avoid this error"),
+    (6, 7, "0,3,nan,-3", "non-finite entry at (x, y) = (0.0, 3.0)"),
+    (5, 6, "1,2,3,inf", "non-finite entry at (x, y) = (1.0, 2.0)"),
+    (6, 8, "0,3,3,-3", "points do not form a rectangular lattice"),
+])
+def test_lattice_csv_fault_in_a_later_block(tmp_path, block_reads, first,
+                                            last, row, message):
+    # rows first..last-1 of a 2 x 4 lattice replaced; blocks are rows 0-2,
+    # 3-5 and 6-7, and the whole parse names the fault
+    rows = [f"{x},{y},{x + y},{x - y}" for y in range(4) for x in range(2)]
+    for k in range(first, last):
+        rows[k] = row.format(x=k % 2, y=k // 2)
+    path = tmp_path / "bad.csv"
+    path.write_text("x,y,u,v\r\n" + "".join(r + "\r\n" for r in rows))
+    with pytest.raises(ValueError) as exc:
+        read_lattice_csv(path, LATTICE_HEADER)
+    assert block_reads == [None]
+    assert str(exc.value) == f"{path}: {message}"
 
 
 def test_field_evaluation_outside_region_fails():
