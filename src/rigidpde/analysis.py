@@ -9,6 +9,8 @@ vanishing makes the system exactly solvable by characteristics.
 
 from __future__ import annotations
 
+import contextvars
+import os
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -242,7 +244,7 @@ class RegionScanReport:
 
 # A scan works through the grid in row chunks of about this many nodes, so
 # each float temporary (256 KB) stays in a core's L2 cache however wide the
-# grid is.  The transport kernels use the same chunks.
+# grid is.  The transport kernels use the same chunks, one per CPU at once.
 SCAN_CHUNK_NODES = 1 << 15
 
 
@@ -256,6 +258,38 @@ def row_blocks(nx: int, ny: int):
     """Slices of the rows of an (ny, nx) grid in chunks of chunk_rows rows."""
     rows = chunk_rows(nx, ny)
     return [slice(a, a + rows) for a in range(0, ny, rows)]
+
+
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+_pool = (None, None)  # (pid, ThreadPoolExecutor); a forked child makes its own
+
+
+def map_row_blocks(nx: int, ny: int, fn):
+    """[fn(s) for s in row_blocks(nx, ny)]; from 2*_WORKERS blocks up the pool
+    shares them, in copies of the caller's context (np.errstate).  As in the
+    loop no block starts after a failure; the earliest failed block raises."""
+    global _pool
+    blocks = row_blocks(nx, ny)
+    if _WORKERS < 2 or len(blocks) < 2 * _WORKERS:
+        return [fn(s) for s in blocks]
+    from concurrent.futures import ThreadPoolExecutor, wait  # costs 4 ms, 0.7 MB
+    if _pool[0] != os.getpid():
+        _pool = (os.getpid(), ThreadPoolExecutor(_WORKERS - 1))
+    results, errors, claim = [None] * len(blocks), {}, iter(range(len(blocks)))
+
+    def work():  # next(claim) is atomic under the GIL, which ufuncs release
+        while not errors and (k := next(claim, None)) is not None:
+            try:
+                results[k] = fn(blocks[k])
+            except BaseException as exc:
+                errors[k] = exc
+    tasks = [_pool[1].submit(contextvars.copy_context().run, work)
+             for _ in range(_WORKERS - 1)]
+    work()
+    wait([t for t in tasks if not t.cancel()])  # a queued task claimed none
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def scan_region(

@@ -459,7 +459,7 @@ def _read_in_order(path, fh, columns):
         return None
     if n and n % xs.size == 0:  # else None: the whole parse decides
         xs, ys = xs.view(float), np.concatenate(row_ys).view(float)
-        if np.all(np.diff(xs) > 0) and np.all(np.diff(ys) > 0):
+        if np.all(xs[1:] > xs[:-1]) and np.all(ys[1:] > ys[:-1]):  # no overflow
             return xs, ys, values[:n].reshape(ys.size, xs.size, -1)
 
 

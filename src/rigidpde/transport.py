@@ -12,8 +12,8 @@ travel one way only: the solver's wx, wy become the partials of (u, v)
 for the analytic system residual, while (u, v) -> w carries values.
 
 The solve, both identifications and both residuals fill their output
-grids one block of rows at a time (the region scan's ``row_blocks``), so
-their temporaries stay cache-sized; no output depends on the block size.
+grids by cache-sized row blocks, on every CPU (``analysis.map_row_blocks``);
+no output depends on the block size or on the thread that fills a block.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .analysis import row_blocks, spectral_lambda
+from .analysis import map_row_blocks, spectral_lambda
 from .errors import StencilOutOfDomain
 from .fields import (
     CoefficientField,
@@ -257,23 +257,24 @@ def solve_characteristic(
     xs, ys = grid_axes(region, grid)
     x = xs[None, :]
     w, wx, wy = (np.empty((ys.size, xs.size), dtype=complex) for _ in range(3))
+
+    def block(s):
+        y = ys[s, None]
+        w[s], df = f0.value_and_derivative(
+            characteristic_coordinate(fam, (x, y)), fam.delta)
+        df = np.asarray(df, dtype=complex)
+        # zeta_x = -lambda/(1+x), zeta_y = 1/(1+x): wx = df*(-(lambda*inv)),
+        # wy = df*inv; complex a*b and b*a can round apart, so keep the order
+        lam = DeltaField(fam).spectral(x, y)
+        lam *= inv
+        np.negative(lam, out=lam)
+        np.multiply(df, lam, out=wx[s])
+        np.multiply(df, inv, out=wy[s])
     # A profile that overflows leaves inf/nan in w, which ComplexField
     # rejects naming the first such node, so numpy need not warn here.
     with np.errstate(over="ignore", invalid="ignore"):
         inv = 1.0 / (1.0 + x)
-        for s in row_blocks(xs.size, ys.size):
-            y = ys[s, None]
-            value, df = f0.value_and_derivative(
-                characteristic_coordinate(fam, (x, y)), fam.delta)
-            w[s] = value
-            df = np.asarray(df, dtype=complex)
-            # zeta_x = -lambda/(1+x), zeta_y = 1/(1+x): wx = df*(-(lambda*inv)),
-            # wy = df*inv; complex a*b and b*a can round apart, so keep the order
-            lam = DeltaField(fam).spectral(x, y)
-            lam *= inv
-            np.negative(lam, out=lam)
-            np.multiply(df, lam, out=wx[s])
-            np.multiply(df, inv, out=wy[s])
+        map_row_blocks(xs.size, ys.size, block)
     meta = {
         "delta": fam.delta,
         "f0": f0.descriptor(),
@@ -291,11 +292,13 @@ def from_real_pair(fam: DeltaFamily, uv: RealPairField) -> ComplexField:
     b = fam.delta * inv
     # Real and imaginary parts are written straight into the complex grid.
     w = np.empty(uv.u.shape, dtype=complex)
-    for s in row_blocks(xs.size, ys.size):
+
+    def block(s):
         av = ys[s, None] * inv  # a
         av *= uv.v[s]
         np.add(uv.u[s], av, out=w.real[s])
         np.multiply(b, uv.v[s], out=w.imag[s])
+    map_row_blocks(xs.size, ys.size, block)
     return ComplexField(xs, ys, w, meta={"delta": fam.delta})
 
 
@@ -311,38 +314,40 @@ def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
     u, v = np.empty(shape), np.empty(shape)
     partials = (tuple(np.empty(shape) for _ in range(4)) if w.has_partials
                 else None)
+
+    def block(s):
+        p, q = w.values.real[s], w.values.imag[s]
+        ratio = ys[s, None] * inv  # a
+        ratio /= b  # equals y/delta
+        np.multiply(ratio, q, out=u[s])
+        np.subtract(p, u[s], out=u[s])
+        np.divide(q, b, out=v[s])
+        if partials is None:
+            return
+        ux, uy, vx, vy = (g[s] for g in partials)
+        px, qx = w.wx.real[s], w.wx.imag[s]
+        py, qy = w.wy.real[s], w.wy.imag[s]
+        # d(a/b)/dx = 0 and d(a/b)/dy = 1/delta; 1/b = (1+x)/delta:
+        # ux = px - ratio*qx, uy = (py - q*inv_delta) - ratio*qy,
+        # vx = (q + (1+x)*qx)*inv_delta, vy = ((1+x)*qy)*inv_delta
+        np.multiply(ratio, qx, out=ux)
+        np.subtract(px, ux, out=ux)
+        np.multiply(q, inv_delta, out=uy)
+        np.subtract(py, uy, out=uy)
+        ratio *= qy
+        uy -= ratio
+        np.multiply(one_x, qx, out=vx)
+        vx += q
+        vx *= inv_delta
+        np.multiply(one_x, qy, out=vy)
+        vy *= inv_delta
     # A subnormal delta overflows 1/b; RealPairField names the bad node.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         one_x = 1.0 + xs[None, :]
         inv = 1.0 / one_x
         b = fam.delta * inv
         inv_delta = 1.0 / fam.delta
-        for s in row_blocks(xs.size, ys.size):
-            p, q = w.values.real[s], w.values.imag[s]
-            ratio = ys[s, None] * inv  # a
-            ratio /= b  # equals y/delta
-            np.multiply(ratio, q, out=u[s])
-            np.subtract(p, u[s], out=u[s])
-            np.divide(q, b, out=v[s])
-            if partials is None:
-                continue
-            ux, uy, vx, vy = (g[s] for g in partials)
-            px, qx = w.wx.real[s], w.wx.imag[s]
-            py, qy = w.wy.real[s], w.wy.imag[s]
-            # d(a/b)/dx = 0 and d(a/b)/dy = 1/delta; 1/b = (1+x)/delta:
-            # ux = px - ratio*qx, uy = (py - q*inv_delta) - ratio*qy,
-            # vx = (q + (1+x)*qx)*inv_delta, vy = ((1+x)*qy)*inv_delta
-            np.multiply(ratio, qx, out=ux)
-            np.subtract(px, ux, out=ux)
-            np.multiply(q, inv_delta, out=uy)
-            np.subtract(py, uy, out=uy)
-            ratio *= qy
-            uy -= ratio
-            np.multiply(one_x, qx, out=vx)
-            vx += q
-            vx *= inv_delta
-            np.multiply(one_x, qy, out=vy)
-            vy *= inv_delta
+        map_row_blocks(xs.size, ys.size, block)
     return RealPairField(xs, ys, u, v, partials=partials)
 
 
@@ -445,14 +450,10 @@ def system_residual(
     """
     xs, ys, hx, hy, partials_of = _residual_partials(
         mode, uv.xs, uv.ys, [uv.u, uv.v], uv.partials)
-    r1 = np.empty((ys.size, xs.size))
-    r2 = np.empty_like(r1)
+    r1, r2 = (np.empty((ys.size, xs.size)) for _ in range(2))
     fd = mode == "fd"
-    # Running maxima of |r1|, |r2| and, in fd mode, of |alpha*v_y|,
-    # |beta*v_y|, |alpha|, |beta|, |u_x|, |v_x| and |u_y| over the blocks;
-    # np.maximum keeps NaN.
-    ext = np.zeros(9 if fd else 2)
-    for s in row_blocks(xs.size, ys.size):
+
+    def block(s):
         ux, uy, vx, vy = partials_of(s)
         alpha, beta = field.values(xs[None, :], ys[s, None])
         b1, b2 = r1[s], r2[s]
@@ -462,7 +463,10 @@ def system_residual(
                   _max_abs(ux), _max_abs(vx), _max_abs(uy)] if fd else [])
         np.subtract(ux, b1, out=b1)
         np.subtract(vx + uy, b2, out=b2)
-        np.maximum(ext, [_max_abs(b1), _max_abs(b2), *terms], out=ext)
+        return [_max_abs(b1), _max_abs(b2), *terms]
+    # Maxima of |r1|, |r2| and, in fd mode, of |alpha*v_y|, |beta*v_y|,
+    # |alpha|, |beta|, |u_x|, |v_x| and |u_y| over the blocks; np.max keeps NaN.
+    ext = np.max(map_row_blocks(xs.size, ys.size, block), axis=0)
     max_r1, max_r2, *terms = (float(e) for e in ext)
     relative = None
     if fd:
@@ -500,9 +504,8 @@ def transport_residual(
         (w.wx, w.wy) if w.has_partials else None)
     r1 = np.empty((ys.size, xs.size), dtype=complex)
     fd = mode == "fd"
-    # Running maxima of |r1| and, in fd mode, of |w_x|, |lambda*w_y| and |w|.
-    ext = np.zeros(4 if fd else 1)
-    for s in row_blocks(xs.size, ys.size):
+
+    def block(s):
         wx, wy = partials_of(s)
         b = r1[s]
         # not in place: a field may hand out its own array
@@ -511,7 +514,10 @@ def transport_residual(
         b += wx
         terms = ([np.abs(wx).max(), np.abs(b - wx).max(),
                   np.abs(w.values[s.start:s.stop + 2]).max()] if fd else [])
-        np.maximum(ext, [np.abs(b).max(), *terms], out=ext)
+        return [np.abs(b).max(), *terms]
+    # Maxima of |r1| and, in fd mode, of |w_x|, |lambda*w_y| and |w| over
+    # the blocks; np.max keeps NaN.
+    ext = np.max(map_row_blocks(xs.size, ys.size, block), axis=0)
     max_r1, *terms = (float(e) for e in ext)
     relative = None
     if fd:  # the floor of both terms: the rounding of w's differences

@@ -1,5 +1,9 @@
 import json
+import os
+import threading
+import time
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -772,6 +776,128 @@ def test_residual_maxima_keep_nan_across_blocks():
     assert np.isfinite(rep.max_r1) and np.isnan(rep.max_residual)
 
 
+# --- blocks on every CPU --------------------------------------------------------
+# From 2*analysis._WORKERS blocks up, analysis.map_row_blocks shares the
+# blocks between the calling thread and a pool.  The tests pin the worker
+# count, so they take the same path on any machine.
+
+def on_threads(workers, rows, nx, fn, *args, **kwargs):
+    """fn(*args, **kwargs) with ``workers`` workers and ``rows``-row blocks."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_WORKERS", workers)
+        return in_blocks(rows, nx, fn, *args, **kwargs)
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_map_row_blocks_returns_blocks_in_order(workers):
+    def block(s):
+        time.sleep(5e-3)  # long enough for every thread to take some
+        return s, threading.get_ident()
+
+    for ny in (1, 2 * workers - 1, 2 * workers, 40):
+        got = on_threads(workers, 1, 5, analysis.map_row_blocks, 5, ny, block)
+        assert [s for s, _ in got] == [slice(a, a + 1) for a in range(ny)]
+        threads = {ident for _, ident in got}
+        if workers == 1 or ny < 2 * workers:  # the serial loop
+            assert threads == {threading.get_ident()}
+        else:
+            assert threading.get_ident() in threads and len(threads) > 1
+
+
+@pytest.mark.parametrize("delta", [1.0, 1e-3, 1e-10])
+def test_kernels_on_threads_match_the_serial_loop(delta):
+    grid = GridSpec(129, 48)
+    for f0 in REF_F0:
+        for rows in (1, 3):
+            args = (DeltaFamily(delta), parse_f0(f0), K, grid)
+            grids, maxima = on_threads(2, rows, grid.nx, pipeline, *args)
+            serial, serial_maxima = on_threads(1, rows, grid.nx, pipeline, *args)
+            for got, want in zip(grids, serial):
+                assert_bits(got, want)
+            assert repr(maxima) == repr(serial_maxima)
+
+
+def test_first_failed_block_raises_on_threads():
+    # alpha is NaN on two rows; the earlier one is slow, so the later one
+    # fails first on the other thread, and the earlier one's error wins
+    fam = DeltaFamily(0.5)
+    w = solve_characteristic(fam, LambdaPower(2), K, GridSpec(9, 40))
+    slow, late = w.ys[30], w.ys[35]
+    failed = []
+
+    def alpha(x, y):
+        a = np.ones(np.broadcast(x, y).shape)
+        for bad in (slow, late):
+            if np.any(y == bad):
+                if bad == slow:
+                    time.sleep(0.2)
+                failed.append(bad)
+                a[np.broadcast_to(y == bad, a.shape)] = np.nan
+        return a
+
+    field = CallableField(alpha, lambda x, y: 0.0 * x * y)
+    errors = []
+    for workers in (1, 2):
+        failed.clear()
+        with pytest.raises(NonFiniteCoefficient) as excinfo:
+            on_threads(workers, 1, 9, transport_residual, field, w,
+                       mode="analytic")
+        errors.append(str(excinfo.value))
+        assert failed[-1] == slow
+    assert failed == [late, slow]  # on threads the late row failed first
+    assert errors[1] == errors[0]
+    assert errors[0] == \
+        f"non-finite alpha = nan at (x={float(w.xs[0])!r}, y={float(slow)!r})"
+
+
+class SlowRows(np.ndarray):
+    """An array whose reads take a millisecond, so every thread gets blocks."""
+
+    def __getitem__(self, key):
+        time.sleep(1e-3)
+        return super().__getitem__(key)
+
+
+def test_threads_keep_the_callers_errstate():
+    # 1/b overflows at a subnormal delta: to_real_pair ignores the warning
+    # and RealPairField names the node; a worker thread must not warn
+    fam = DeltaFamily(5e-324)
+    w = solve_characteristic(fam, LambdaPower(2), K, GridSpec(9, 40))
+    w.values = w.values.view(SlowRows)
+    for workers in (1, 2):
+        with pytest.raises(NonFiniteCoefficient, match=r"^non-finite u = "):
+            on_threads(workers, 1, 9, to_real_pair, fam, w)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_child_makes_its_own_pool():
+    fam = DeltaFamily(0.5)
+    args = (fam, LambdaPower(2), K, GridSpec(9, 40))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "_WORKERS", 2)
+        mp.setattr(analysis, "SCAN_CHUNK_NODES", 9)
+        want = solve_characteristic(*args).values  # starts the pool
+        with warnings.catch_warnings():  # 3.12 warns of forking with threads
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                got = solve_characteristic(*args).values
+                code = 0 if (np.array_equal(got, want)
+                             and analysis._pool[0] == os.getpid()) else 2
+            finally:
+                os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0:
+        if time.monotonic() > deadline:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child hung in the kernel")
+        time.sleep(0.01)
+    assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
 # The transport residual as it was formed before it joined the row blocks:
 # whole-grid lambda*w_y + w_x, its maximum, and in fd mode the relative
 # size over the largest maximum of the cancelled terms w_x and
@@ -820,12 +946,14 @@ def test_transport_report_matches_whole_grid_reference(delta, mode):
                 assert rep.max_residual == rep.max_r1
 
 
-def test_kernel_memory_is_outputs_plus_blocks():
+def test_kernel_memory_is_outputs_plus_blocks(monkeypatch):
     # Each kernel allocates its outputs once and forms its temporaries one
-    # block at a time.  The budget beyond the outputs is eight complex
-    # blocks plus the two boolean masks of the finiteness check, which
-    # spans the grid to name a bad node; any one whole-grid temporary
-    # (8 or 16 bytes a node) exceeds it.
+    # block at a time, on two threads here (a pinned worker count, so the
+    # result does not depend on the machine's CPUs).  The budget beyond
+    # the outputs is eight complex blocks plus the two boolean masks of
+    # the finiteness check, which spans the grid to name a bad node; any
+    # one whole-grid temporary (8 or 16 bytes a node) exceeds it.
+    monkeypatch.setattr(analysis, "_WORKERS", 2)
     fam = DeltaFamily(1e-3)
     f0 = parse_f0(REF_F0[2])
     grid = GridSpec(1025, 1025)
