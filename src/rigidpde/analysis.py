@@ -265,12 +265,12 @@ _pool = (None, None)  # (pid, ThreadPoolExecutor); a forked child makes its own
 
 
 def map_row_blocks(nx: int, ny: int, fn):
-    """[fn(s) for s in row_blocks(nx, ny)]; from 2*_WORKERS blocks up the pool
-    shares them, in copies of the caller's context (np.errstate).  As in the
-    loop no block starts after a failure; the earliest failed block raises."""
+    """[fn(s) for s in row_blocks(nx, ny)]; from two blocks up the pool shares
+    them, in copies of the caller's context (np.errstate).  As in the loop
+    no block starts after a failure; the earliest failed block raises."""
     global _pool
     blocks = row_blocks(nx, ny)
-    if _WORKERS < 2 or len(blocks) < 2 * _WORKERS:
+    if _WORKERS < 2 or len(blocks) < 2:
         return [fn(s) for s in blocks]
     from concurrent.futures import ThreadPoolExecutor, wait  # costs 4 ms, 0.7 MB
     if _pool[0] != os.getpid():

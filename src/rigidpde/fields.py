@@ -303,7 +303,8 @@ class PerturbedDeltaField(DeltaField):
 
 class CallableField(CoefficientField):
     """User field given by two samplers alpha(x, y), beta(x, y); partials
-    come from finite differences."""
+    come from finite differences.  The samplers must be thread-safe: the
+    residuals call them from several threads at once (map_row_blocks)."""
 
     def __init__(self, alpha_fn, beta_fn):
         self.alpha_fn = alpha_fn

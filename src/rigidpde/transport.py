@@ -515,8 +515,7 @@ def transport_residual(
         terms = ([np.abs(wx).max(), np.abs(b - wx).max(),
                   np.abs(w.values[s.start:s.stop + 2]).max()] if fd else [])
         return [np.abs(b).max(), *terms]
-    # Maxima of |r1| and, in fd mode, of |w_x|, |lambda*w_y| and |w| over
-    # the blocks; np.max keeps NaN.
+    # Block maxima of |r1|, in fd mode |w_x|, |lambda*w_y|, |w|; NaN kept.
     ext = np.max(map_row_blocks(xs.size, ys.size, block), axis=0)
     max_r1, *terms = (float(e) for e in ext)
     relative = None
