@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import contextvars
 import os
+import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -244,7 +245,7 @@ class RegionScanReport:
 
 # A scan works through the grid in row chunks of about this many nodes, so
 # each float temporary (256 KB) stays in a core's L2 cache however wide the
-# grid is.  The transport kernels use the same chunks, one per CPU at once.
+# grid is.  The scan and the transport kernels share them among the CPUs.
 SCAN_CHUNK_NODES = 1 << 15
 
 
@@ -310,31 +311,37 @@ def scan_region(
     The scan samples the field on the broadcast axes ``xs[None, :]`` and
     ``ys[a:b, None]`` of one chunk of grid rows at a time.  A chunk holds
     as many rows as fit in SCAN_CHUNK_NODES nodes (at least one), so its
-    temporaries stay cache-sized at any grid width; |mu| and (A, B) are
-    formed in buffers reused from chunk to chunk.  The min/max reductions
-    are exact and order-independent, so the report does not depend on the
-    chunk size.
+    temporaries stay cache-sized at any grid width.  map_row_blocks shares
+    the chunks among the CPUs; each thread forms |mu| and (A, B) in its
+    own buffers, reused from chunk to chunk.  The min/max reductions are
+    exact and order-independent, so the report depends on neither the
+    chunk size nor the thread count.
     """
     rigidity_tol = (RIGIDITY_TOL_CLOSED_FORM if field.closed_form_partials
                     else RIGIDITY_TOL_FINITE_DIFF)
     xs, ys = grid_axes(region, grid)
     rows = chunk_rows(xs.size, ys.size)
     x = xs[None, :]
-    real = np.empty((6, rows, xs.size))
-    cplx = np.empty((3, rows, xs.size), dtype=complex)
-    # Running maxima of -|mu|, |mu|, A, -A, B, -B; np.maximum keeps NaN.
-    ext = np.full(6, -np.inf)
-    with np.errstate(all="ignore"):  # non-finite values raise below
-        for s in row_blocks(xs.size, ys.size):
-            y = ys[s, None]
-            n = y.shape[0]
-            abs_mu, a, b, named = _scan_chunk(field, x, y, real[:, :n],
-                                              cplx[:, :n])
-            chunk = np.array([-abs_mu.min(), abs_mu.max(), a.max(), -a.min(),
-                              b.max(), -b.min()])
-            if not np.isfinite(chunk).all():
-                _raise_non_finite(x, y, named)
-            np.maximum(ext, chunk, out=ext)
+    # Each thread's buffers, one block made on its first chunk; once freed it
+    # lifts glibc's trim threshold above a chunk's temporaries (fewer faults).
+    local = threading.local()
+
+    def chunk(s):
+        if not hasattr(local, "buf"):
+            local.buf = np.empty((6, rows, xs.size), dtype=complex)
+        real = local.buf[:3].view(float).reshape(6, rows, xs.size)
+        y = ys[s, None]
+        abs_mu, a, b, named = _scan_chunk(field, x, y, real[:, :y.size],
+                                          local.buf[3:, :y.size])
+        # maxima of -|mu|, |mu|, A, -A, B, -B; a NaN among them raises
+        ext = np.array([-abs_mu.min(), abs_mu.max(), a.max(), -a.min(),
+                        b.max(), -b.min()])
+        if not np.isfinite(ext).all():
+            _raise_non_finite(x, y, named)
+        return ext
+
+    with np.errstate(all="ignore"):  # non-finite values raise in chunk
+        ext = np.max(map_row_blocks(xs.size, ys.size, chunk), axis=0)
     sup_mu = float(ext[1])
     max_a = abs(float(max(ext[2], ext[3])))
     max_b = abs(float(max(ext[4], ext[5])))

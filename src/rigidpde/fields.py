@@ -304,7 +304,7 @@ class PerturbedDeltaField(DeltaField):
 class CallableField(CoefficientField):
     """User field given by two samplers alpha(x, y), beta(x, y); partials
     come from finite differences.  The samplers must be thread-safe: the
-    residuals call them from several threads at once (map_row_blocks)."""
+    scan and the residuals call them from several threads at once."""
 
     def __init__(self, alpha_fn, beta_fn):
         self.alpha_fn = alpha_fn
@@ -340,8 +340,8 @@ class GridTableField(CoefficientField):
                               [("alpha", alpha), ("beta", beta)])
         self.xs = xs
         self.ys = ys
-        self.alpha_tab = alpha
-        self.beta_tab = beta
+        self.alpha_tab = np.ascontiguousarray(alpha)  # np.take reads it flat
+        self.beta_tab = np.ascontiguousarray(beta)
         self.region = Region(xs[0], xs[-1], ys[0], ys[-1])
 
     @classmethod
@@ -353,20 +353,31 @@ class GridTableField(CoefficientField):
 
     def values(self, x, y):
         x, y = self.check_domain(x, y)
-        ix = np.clip(np.searchsorted(self.xs, x, side="right") - 1, 0, self.xs.size - 2)
-        iy = np.clip(np.searchsorted(self.ys, y, side="right") - 1, 0, self.ys.size - 2)
-        tx = (x - self.xs[ix]) / (self.xs[ix + 1] - self.xs[ix])
-        ty = (y - self.ys[iy]) / (self.ys[iy + 1] - self.ys[iy])
+        (iy, ty), (k, tx) = _cell(self.ys, y), _cell(self.xs, x)
+        k = iy * self.xs.size + k  # flat index of each node's lower-left corner
+        ux, uy = 1 - tx, 1 - ty
 
-        def interp(tab):
-            f00 = tab[iy, ix]
-            f01 = tab[iy, ix + 1]
-            f10 = tab[iy + 1, ix]
-            f11 = tab[iy + 1, ix + 1]
-            return ((1 - ty) * ((1 - tx) * f00 + tx * f01)
-                    + ty * ((1 - tx) * f10 + tx * f11))
+        def lerp(flat):  # (1-tx)*flat[k] + tx*flat[k+1], in place
+            f, g = np.take(flat, k), np.take(flat[1:], k)
+            f *= ux
+            g *= tx
+            f += g
+            return f
+
+        def interp(tab):  # (1-ty)*lerp(row iy) + ty*lerp(row iy+1)
+            lo, hi = lerp(tab.ravel()), lerp(tab.ravel()[self.xs.size:])
+            lo *= uy
+            hi *= ty
+            lo += hi
+            return lo
 
         return interp(self.alpha_tab), interp(self.beta_tab)
+
+
+def _cell(axis, v):
+    """Lower index of the lattice cell holding each v, and v's fraction of it."""
+    i = np.clip(np.searchsorted(axis, v, side="right") - 1, 0, axis.size - 2)
+    return i, (v - axis[i]) / (axis[i + 1] - axis[i])
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +504,7 @@ def central_stencil(fn, x, y, h=None):
         raise ValueError("finite-difference step must be finite and > 0, "
                          f"got {h.flat[int(np.argmin(ok))].item()!r}")
     feet = []
-    for fx, fy in ((x + h, y), (x - h, y), (x, y + h), (x, y - h)):
+    for fx, fy in _feet(x, y, h):  # one foot's coordinates at a time
         try:
             feet.append(fn(fx, fy))
         except DomainError as exc:  # name the first centre with this foot
@@ -503,6 +514,13 @@ def central_stencil(fn, x, y, h=None):
                 f"stencil of half-width {h.flat[k]:.6g} centred at (x, y) = "
                 f"({cx!r}, {cy!r}) leaves the field's domain: {exc}") from exc
     return 2.0 * h, centre, feet
+
+
+def _feet(x, y, h):
+    yield x + h, y
+    yield x - h, y
+    yield x, y + h
+    yield x, y - h
 
 
 def numeric_partials(field: CoefficientField, x, y, h=None) -> CoefficientSample:

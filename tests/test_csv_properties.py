@@ -47,7 +47,7 @@ def bits(a):
     return np.ascontiguousarray(a, dtype=float).tobytes()
 
 
-SETTINGS = settings(max_examples=60, deadline=None,
+SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
                     suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 

@@ -1,7 +1,11 @@
 """Region scans: the chunked broadcast-axis scan against the meshgrid scan
-it replaced, independence from the chunk size, typed errors for
-non-finite quantities, and the domain checks of finite-difference
-sampling."""
+it replaced, independence from the chunk size and the thread count, typed
+errors for non-finite quantities, and the domain checks of
+finite-difference sampling."""
+
+import threading
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -90,12 +94,14 @@ def reference_scan(field, region, grid, rows=128):
     )
 
 
-def scan_in_chunks(field, grid, rows=None):
+def scan_in_chunks(field, grid, rows=None, workers=None):
     """scan_region over W in chunks of ``rows`` grid rows (None: the
-    default chunk size)."""
+    default chunk size) on ``workers`` workers (None: one per CPU)."""
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
             mp.setattr(analysis, "SCAN_CHUNK_NODES", rows * grid.nx)
+        if workers is not None:
+            mp.setattr(analysis, "_WORKERS", workers)
         return scan_region(field, W, grid)
 
 
@@ -174,25 +180,70 @@ def make_field(kind, delta):
         return DeltaField(DeltaFamily(delta))
     if kind == "perturbed":
         return PerturbedDeltaField(DeltaFamily(delta), 0.05)
+    if kind == "table":  # the family on a 41 x 41 lattice around W
+        xs, ys = grid_axes(TABLE_REGION, GridSpec(41, 41))
+        return GridTableField(xs, ys, *DeltaField(DeltaFamily(delta)).values(
+            xs[None, :], ys[:, None]))
     return family_callable(delta)
 
 
 def test_scan_report_independent_of_chunk_size():
+    # ... and of the thread count: each chunk's extrema are exact, and
+    # folding them in any grouping gives the serial loop's report
     hyp = pytest.importorskip("hypothesis")
     st = hyp.strategies
 
     @hyp.settings(max_examples=80, deadline=None, derandomize=True)
-    @hyp.given(kind=st.sampled_from(FIELD_KINDS), nx=st.integers(2, 40),
-               ny=st.integers(2, 40), log_delta=st.floats(-4.0, 0.0),
+    @hyp.given(kind=st.sampled_from(FIELD_KINDS + ("table",)),
+               nx=st.integers(2, 40), ny=st.integers(2, 40),
+               log_delta=st.floats(-4.0, 0.0), workers=st.sampled_from([1, 2, 3]),
                data=st.data())
-    def check(kind, nx, ny, log_delta, data):
+    def check(kind, nx, ny, log_delta, workers, data):
         field = make_field(kind, 10.0 ** log_delta)
         grid = GridSpec(nx, ny)
         rows = data.draw(st.integers(1, ny), label="rows")
-        same_report(scan_in_chunks(field, grid, rows),
-                    scan_region(field, W, grid))
+        same_report(scan_in_chunks(field, grid, rows, workers),
+                    scan_in_chunks(field, grid, workers=1))
 
     check()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_scan_samplers_run_on_every_worker(workers):
+    threads = []
+
+    def alpha(x, y):
+        threads.append(threading.get_ident())
+        time.sleep(1e-2)  # long enough for every thread to take some
+        return (y * y + 0.25) / ((1.0 + x) * (1.0 + x))
+
+    field = CallableField(alpha, family_callable(0.5).beta_fn)
+    for ny, rows in ((5, 5), (6, 3), (12, 1)):  # 1, 2 and 12 chunks
+        threads.clear()
+        scan_in_chunks(field, GridSpec(9, ny), rows, workers)
+        if workers == 1 or ny == rows:  # the serial loop
+            assert set(threads) == {threading.get_ident()}
+        else:
+            assert threading.get_ident() in threads and len(set(threads)) > 1
+
+
+def test_scan_memory_is_a_few_chunks_a_thread():
+    # Each thread reuses its own buffers (nine floats a chunk node) and
+    # forms the field's samples one chunk at a time, so the peak is a
+    # few hundred bytes a chunk node for each of the two threads here; at
+    # 2001**2 any whole-grid float temporary (32 MB) exceeds it.
+    for field, n, per_node in ((DeltaField(DeltaFamily(1e-2)), 2001, 200),
+                               (make_field("table", 1e-2), 401, 350)):
+        grid = aligned_gridspec(W, n, n)
+        scan_in_chunks(field, GridSpec(9, 9), workers=2)  # first-call set-up
+        tracemalloc.start()
+        try:
+            scan_in_chunks(field, grid, workers=2)
+            used = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert used <= 2 * per_node * analysis.chunk_rows(grid.nx, grid.ny) \
+            * grid.nx
 
 
 # --- non-finite quantities ---------------------------------------------------------
@@ -236,8 +287,9 @@ def test_non_finite_value_raises_at_its_node():
                name=st.sampled_from(QUANTITIES),
                value=st.sampled_from([np.nan, np.inf, -np.inf]),
                nx=st.integers(2, 30), ny=st.integers(2, 30),
-               log_delta=st.floats(-4.0, 0.0), data=st.data())
-    def check(kind, name, value, nx, ny, log_delta, data):
+               log_delta=st.floats(-4.0, 0.0), workers=st.sampled_from([2, 3]),
+               data=st.data())
+    def check(kind, name, value, nx, ny, log_delta, workers, data):
         delta = 10.0 ** log_delta
         grid = GridSpec(nx, ny)
         xs, ys = grid_axes(W, grid)
@@ -257,12 +309,15 @@ def test_non_finite_value_raises_at_its_node():
         else:
             field = Injected(make_field(kind, delta), x0, y0, name, value)
         with pytest.raises(NonFiniteCoefficient) as excinfo:
-            scan_in_chunks(field, grid, rows)
+            scan_in_chunks(field, grid, rows, workers=1)
         err = excinfo.value
         assert (err.x, err.y) == (x0, y0)
         assert f"(x={x0!r}, y={y0!r})" in str(err)
         if not kind.startswith("callable"):
             assert err.name == name
+        with pytest.raises(NonFiniteCoefficient) as excinfo:
+            scan_in_chunks(field, grid, rows, workers)
+        assert str(excinfo.value) == str(err)
 
     check()
 
@@ -281,11 +336,15 @@ def test_closed_form_lambda_checks_name_the_node():
             return lam
 
     grid = GridSpec(7, 9)  # nodes x = -0.5, -0.25, ..., 1; y = -1, -0.75, ...
-    with pytest.raises(NonFiniteCoefficient,
-                       match=r"non-finite lambda = \(nan\+1j\) at \(x=0.25, y=0.5\)"):
-        scan_region(Bent(complex(np.nan, 1.0)), W, grid)
-    with pytest.raises(InvalidBranch, match=r"at \(x=0.25, y=0.5\)"):
-        scan_region(Bent(0.5 - 0.1j), W, grid)
+    for rows, workers in ((None, 1), (1, 2), (2, 3)):
+        with pytest.raises(NonFiniteCoefficient) as excinfo:
+            scan_in_chunks(Bent(complex(np.nan, 1.0)), grid, rows, workers)
+        assert str(excinfo.value) == \
+            "non-finite lambda = (nan+1j) at (x=0.25, y=0.5)"
+        with pytest.raises(InvalidBranch) as excinfo:
+            scan_in_chunks(Bent(0.5 - 0.1j), grid, rows, workers)
+        assert str(excinfo.value) == ("field's spectral data has "
+                                      "Im(lambda) = -0.1 <= 0 at (x=0.25, y=0.5)")
 
 
 def test_nan_quarter_plane_is_not_a_rigid_scan():
@@ -294,12 +353,72 @@ def test_nan_quarter_plane_is_not_a_rigid_scan():
         lambda x, y: np.where((x > 0.25) & (y > 0), np.nan,
                               (y * y + 1e-2) / ((1.0 + x) * (1.0 + x))),
         lambda x, y: -2.0 * y / (1.0 + x))
-    for rows in (None, 1, 7, 401):
+    for rows, workers in ((None, 1), (1, 1), (7, 1), (401, 1), (None, 2),
+                          (1, 2), (7, 3)):
         with pytest.raises(NonFiniteCoefficient) as excinfo:
-            scan_in_chunks(field, GridSpec(101, 401), rows)
+            scan_in_chunks(field, GridSpec(101, 401), rows, workers)
         # first in row-major order: on y = 0, whose stencil reaches y > 0
         assert str(excinfo.value) == \
             "non-finite alpha_y = nan at (x=0.265, y=0.0)"
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_first_failed_chunk_raises_on_threads(workers):
+    # alpha is NaN on two rows; the earlier one is slow, so the later one
+    # fails first on another thread, and the earlier one's error wins
+    grid = GridSpec(9, 40)
+    _, ys = grid_axes(W, grid)
+    slow, late = float(ys[30]), float(ys[35])
+    failed = []
+
+    def alpha(x, y):
+        a = np.ones(np.broadcast(x, y).shape)
+        for bad in (slow, late):
+            if np.any(y == bad):
+                if bad == slow:
+                    time.sleep(0.2)
+                failed.append(bad)
+                a[np.broadcast_to(y == bad, a.shape)] = np.nan
+        return a
+
+    field = CallableField(alpha, lambda x, y: 0.0 * x * y)
+    errors = []
+    for w in (1, workers):
+        failed.clear()
+        with pytest.raises(NonFiniteCoefficient) as excinfo:
+            scan_in_chunks(field, grid, 1, w)
+        errors.append(str(excinfo.value))
+        assert failed[-1] == slow
+    # on threads the late row failed first (its centre and two feet)
+    assert list(dict.fromkeys(failed)) == [late, slow]
+    assert errors[1] == errors[0] == \
+        f"non-finite alpha = nan at (x=-0.5, y={slow!r})"
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_scan_errors_on_threads_keep_the_serial_text(workers, tmp_path):
+    grid = GridSpec(21, 30)
+    hyper = CallableField(lambda x, y: np.where(y > 0.5, -1.0, 1.0),
+                          lambda x, y: 0.0 * x)
+    with pytest.raises(NotElliptic) as excinfo:
+        scan_in_chunks(hyper, grid, 1, workers)
+    assert str(excinfo.value) == scan_error(hyper, grid)
+    # alpha = 2, beta = 0 on W, so every stencil on its edge leaves it;
+    # and on a lattice that stops short of W's top rows
+    for box, error in (((-0.5, 1.0, -1.0, 1.0), StencilOutOfDomain),
+                       ((-0.6, 1.1, -1.1, 0.9), DomainError)):
+        field = GridTableField(box[:2], box[2:], np.full((2, 2), 2.0),
+                               np.zeros((2, 2)))
+        with pytest.raises(error) as excinfo:
+            scan_in_chunks(field, grid, 2, workers)
+        assert str(excinfo.value) == scan_error(field, grid)
+
+
+def scan_error(field, grid):
+    """The text of the error the serial loop raises."""
+    with pytest.raises(RigidPdeError) as excinfo:
+        scan_in_chunks(field, grid, workers=1)
+    return str(excinfo.value)
 
 
 def test_cli_analyze_reports_non_finite_node(tmp_path, capsys):
