@@ -29,7 +29,6 @@ from .fields import (
     DeltaField,
     GridSpec,
     GridTableField,
-    PerturbedDeltaField,
     Region,
     aligned_gridspec,
     grid_axes,

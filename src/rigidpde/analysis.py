@@ -97,6 +97,7 @@ def beltrami_coefficient(lam):
     """Beltrami coefficient mu = (lambda - i)/(lambda + i); |mu| < 1 exactly
     when Im(lambda) > 0."""
     lam = np.asarray(lam, dtype=complex)
+    _raise_non_finite(None, None, [("lambda", lam)])  # NaN passes the next test
     if np.any(lam.imag <= 0.0):
         raise InvalidBranch(
             f"Im(lambda) must be > 0, got minimum {np.min(lam.imag):.6g}"
@@ -375,10 +376,11 @@ def _scan_chunk(field: CoefficientField, x, y, real, cplx):
         if not b.min() > 0.0:
             _raise_non_finite(x, y, named + [("lambda", lam)])
             b = np.broadcast_to(b, disc.shape)
-            j, i = np.unravel_index(int(np.argmin(b)), b.shape)
+            k = int(np.argmin(b))
+            px, py = _node(x, y, k, b.shape)
             raise InvalidBranch(
-                f"field's spectral data has Im(lambda) = {b[j, i]:.6g} "
-                f"<= 0 at (x={x[0, i]:.9g}, y={y[j, 0]:.9g})"
+                f"field's spectral data has Im(lambda) = {b.flat[k]:.6g} "
+                f"<= 0 at (x={px:.9g}, y={py:.9g})"
             )
         np.add(b, b, out=disc)
         disc *= disc                       # (b + b)**2

@@ -141,9 +141,8 @@ class BeltramiProblem:
             raise ValueError(
                 f"mu shape {self.mu.shape} does not match grid {self.grid.n}"
             )
-        if not np.isfinite(self.mu).all():
-            ax, ay = self.grid.axes()
-            _raise_non_finite(ax[None, :], ay[:, None], [("mu", self.mu)])
+        ax, ay = self.grid.axes()
+        _raise_non_finite(ax[None, :], ay[:, None], [("mu", self.mu)])
         if self.max_iter < 0:
             raise ValueError(f"need max_iter >= 0, got {self.max_iter}")
 

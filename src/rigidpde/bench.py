@@ -120,23 +120,28 @@ class BenchReport:
 
 
 def _timed_solves(cfg: BenchConfig, f0: InitialData, deltas):
-    """Median wall time of the characteristic solve per delta.
+    """Per delta, the median wall time of the characteristic solve and its
+    last result, or the exception its first solve raised.
 
-    Repetition sweeps are interleaved across deltas (after one discarded
-    warm-up each) so scheduler drift hits every delta alike; medians are
-    still taken per delta.
+    Repetition sweeps are interleaved across the deltas that solve (after
+    one discarded warm-up each) so scheduler drift hits every delta alike;
+    medians are still taken per delta.
     """
     fams = {d: DeltaFamily(d) for d in deltas}
-    times = {d: [] for d in deltas}
-    last = {}
-    for d in deltas:
-        last[d] = solve_characteristic(fams[d], f0, cfg.region, cfg.grid)
+    times, last = {}, {}
+    for d in deltas:  # the warm-up; a delta whose solve fails is not timed
+        try:
+            last[d] = solve_characteristic(fams[d], f0, cfg.region, cfg.grid)
+            times[d] = []
+        except Exception as exc:
+            last[d] = exc
     for _ in range(cfg.repetitions):
-        for d in deltas:
+        for d in times:
             t0 = time.perf_counter()
             last[d] = solve_characteristic(fams[d], f0, cfg.region, cfg.grid)
             times[d].append(time.perf_counter() - t0)
-    return {d: (statistics.median(times[d]), last[d]) for d in deltas}
+    return {d: (statistics.median(times[d]), last[d]) if d in times else last[d]
+            for d in deltas}
 
 
 def run_benchmark(cfg: BenchConfig) -> BenchReport:
@@ -144,20 +149,12 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
     f0 = parse_f0(cfg.f0)
     scan_grid = aligned_gridspec(cfg.region, SCAN_NOMINAL, SCAN_NOMINAL)
     report = BenchReport(config=cfg.to_dict())
-    try:
-        timed = _timed_solves(cfg, f0, cfg.deltas)
-    except Exception as exc:
-        timed = {}
-        solve_error = f"{type(exc).__name__}: {exc}"
-    else:
-        solve_error = None
+    timed = _timed_solves(cfg, f0, cfg.deltas)
     for delta in cfg.deltas:
         row = BenchRow(delta=float(delta))
-        if solve_error is not None:
-            row.error = solve_error
-            report.rows.append(row)
-            continue
         try:
+            if isinstance(timed[delta], Exception):
+                raise timed[delta]
             fam = DeltaFamily(delta)
             field = DeltaField(fam)
             row.char_time_s, w = timed[delta]
@@ -172,4 +169,3 @@ def run_benchmark(cfg: BenchConfig) -> BenchReport:
             row.error = f"{type(exc).__name__}: {exc}"
         report.rows.append(row)
     return report
-

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -127,6 +129,17 @@ def test_beltrami_rejects_lower_half_plane():
         beltrami_coefficient(0.3 - 0.2j)
     with pytest.raises(InvalidBranch):
         beltrami_coefficient(1.0 + 0.0j)
+
+
+@pytest.mark.parametrize("lam", [complex(np.nan, 1.0), complex(np.inf, 1.0),
+                                 complex(0.5, np.nan)])
+def test_beltrami_rejects_a_non_finite_lambda(lam):
+    # NaN fails Im(lambda) <= 0 as well, so the branch test let it through
+    with pytest.raises(NonFiniteCoefficient,
+                       match=rf"^non-finite lambda = {re.escape(repr(lam))}$"):
+        beltrami_coefficient(lam)
+    with pytest.raises(NonFiniteCoefficient, match="lambda"):
+        beltrami_coefficient(np.array([1j, lam, 2j]))
 
 
 # --- condition number -------------------------------------------------------

@@ -139,3 +139,14 @@ def test_per_row_failures_are_recorded():
     assert re.match(r"NonFiniteCoefficient: non-finite w = .* at \(x=\S+, y=\S+\)$",
                     row.error)
     assert report.to_csv().splitlines()[1].startswith("1,")
+
+
+def test_a_failing_delta_fails_only_its_own_row():
+    # exp(2000i * lambda) overflows at delta 1 but not at delta 1e-4
+    report = run_benchmark(small_config(grid=GridSpec(33, 33), f0="exp:2000i,0"))
+    bad, good = report.rows
+    assert re.match(r"NonFiniteCoefficient: non-finite w = .* at \(x=\S+, y=\S+\)$",
+                    bad.error)
+    assert (bad.kappa, bad.char_time_s, bad.char_residual) == (None, None, None)
+    assert good.error is None
+    assert good.char_time_s > 0.0 and good.kappa > 1e8

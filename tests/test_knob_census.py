@@ -11,7 +11,8 @@ import inspect
 
 from rigidpde.beltrami import BeltramiProblem, TorusGrid
 from rigidpde.bench import BenchConfig
-from rigidpde.fields import CallableField
+from rigidpde.fields import (CallableField, CoefficientField, DeltaField,
+                             PerturbedDeltaField)
 
 
 def names(cls):
@@ -31,3 +32,12 @@ def test_beltrami_fields_match_the_census():
 def test_callable_field_parameters_match_the_census():
     params = inspect.signature(CallableField).parameters
     assert list(params) == ["alpha_fn", "beta_fn"]
+
+
+def test_check_domain_parameters_match_the_census():
+    params = inspect.signature(CoefficientField.check_domain).parameters
+    assert list(params) == ["self", "x", "y"]
+
+
+def test_the_fixtures_old_name_is_the_family_class():
+    assert PerturbedDeltaField is DeltaField

@@ -447,9 +447,9 @@ def test_fd_sample_checks_each_evaluation_once(monkeypatch):
     calls = []
     check = CoefficientField.check_domain
 
-    def counting(self, x, y, pad=0.0):
+    def counting(self, x, y):
         calls.append(1)
-        return check(self, x, y, pad)
+        return check(self, x, y)
 
     monkeypatch.setattr(CoefficientField, "check_domain", counting)
     family_callable(0.5).sample(0.1, 0.2)
