@@ -5,12 +5,15 @@ discriminant, the upper-half-plane spectral parameter, the associated
 Beltrami coefficient, the condition number of the equivalent
 second-order problem, and the transport obstruction pair (A, B) whose
 vanishing makes the system exactly solvable by characteristics.
+
+A region scan works through its grid by row blocks on every CPU
+(``fields.map_row_blocks``), under the engine's floating-point policy:
+each block's extrema are checked, and the first NaN or infinite quantity
+is named with its node.
 """
 
 from __future__ import annotations
 
-import contextvars
-import os
 import threading
 from dataclasses import dataclass, fields
 
@@ -29,7 +32,9 @@ from .fields import (
     _raise_non_finite,
     aligned_gridspec,
     central_stencil,
+    chunk_rows,
     grid_axes,
+    map_row_blocks,
     report_row,
 )
 
@@ -244,56 +249,6 @@ class RegionScanReport:
         return report_row(self.delta, self.inf_mu, self.sup_mu, self.kappa)
 
 
-# A scan works through the grid in row chunks of about this many nodes, so
-# each float temporary (256 KB) stays in a core's L2 cache however wide the
-# grid is.  The scan and the transport kernels share them among the CPUs.
-SCAN_CHUNK_NODES = 1 << 15
-
-
-def chunk_rows(nx: int, ny: int) -> int:
-    """Rows per chunk of an (ny, nx) grid: as many as fit in
-    SCAN_CHUNK_NODES nodes, at least one and at most ny."""
-    return min(max(1, SCAN_CHUNK_NODES // nx), ny)
-
-
-def row_blocks(nx: int, ny: int):
-    """Slices of the rows of an (ny, nx) grid in chunks of chunk_rows rows."""
-    rows = chunk_rows(nx, ny)
-    return [slice(a, a + rows) for a in range(0, ny, rows)]
-
-
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
-_pool = (None, None)  # (pid, ThreadPoolExecutor); a forked child makes its own
-
-
-def map_row_blocks(nx: int, ny: int, fn):
-    """[fn(s) for s in row_blocks(nx, ny)]; from two blocks up the pool shares
-    them, in copies of the caller's context (np.errstate).  As in the loop
-    no block starts after a failure; the earliest failed block raises."""
-    global _pool
-    blocks = row_blocks(nx, ny)
-    if _WORKERS < 2 or len(blocks) < 2:
-        return [fn(s) for s in blocks]
-    from concurrent.futures import ThreadPoolExecutor, wait  # costs 4 ms, 0.7 MB
-    if _pool[0] != os.getpid():
-        _pool = (os.getpid(), ThreadPoolExecutor(_WORKERS - 1))
-    results, errors, claim = [None] * len(blocks), {}, iter(range(len(blocks)))
-
-    def work():  # next(claim) is atomic under the GIL, which ufuncs release
-        while not errors and (k := next(claim, None)) is not None:
-            try:
-                results[k] = fn(blocks[k])
-            except BaseException as exc:
-                errors[k] = exc
-    tasks = [_pool[1].submit(contextvars.copy_context().run, work)
-             for _ in range(_WORKERS - 1)]
-    work()
-    wait([t for t in tasks if not t.cancel()])  # a queued task claimed none
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def scan_region(
     field: CoefficientField,
     region: Region,
@@ -311,9 +266,11 @@ def scan_region(
 
     The scan samples the field on the broadcast axes ``xs[None, :]`` and
     ``ys[a:b, None]`` of one chunk of grid rows at a time.  A chunk holds
-    as many rows as fit in SCAN_CHUNK_NODES nodes (at least one), so its
-    temporaries stay cache-sized at any grid width.  map_row_blocks shares
-    the chunks among the CPUs; each thread forms |mu| and (A, B) in its
+    as many rows as fit in fields.SCAN_CHUNK_NODES nodes (at least one),
+    so its temporaries stay cache-sized at any grid width.
+    fields.map_row_blocks shares the chunks among the CPUs, with numpy's
+    warnings off: a chunk whose extrema are not all finite names its
+    first bad node instead.  Each thread forms |mu| and (A, B) in its
     own buffers, reused from chunk to chunk.  The min/max reductions are
     exact and order-independent, so the report depends on neither the
     chunk size nor the thread count.
@@ -323,8 +280,6 @@ def scan_region(
     xs, ys = grid_axes(region, grid)
     rows = chunk_rows(xs.size, ys.size)
     x = xs[None, :]
-    # Each thread's buffers, one block made on its first chunk; once freed it
-    # lifts glibc's trim threshold above a chunk's temporaries (fewer faults).
     local = threading.local()
 
     def chunk(s):
@@ -341,8 +296,7 @@ def scan_region(
             _raise_non_finite(x, y, named)
         return ext
 
-    with np.errstate(all="ignore"):  # non-finite values raise in chunk
-        ext = np.max(map_row_blocks(xs.size, ys.size, chunk), axis=0)
+    ext = np.max(map_row_blocks(xs.size, ys.size, chunk), axis=0)
     sup_mu = float(ext[1])
     max_a = abs(float(max(ext[2], ext[3])))
     max_b = abs(float(max(ext[4], ext[5])))

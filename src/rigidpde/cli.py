@@ -68,8 +68,8 @@ DEFAULT_SCAN_NOMINAL = 2001
 DEFAULT_SOLVE_GRID = (257, 257)
 DEFAULT_VERIFY_THRESHOLD = 0.05  # relative: fd truncation of exact
                                  # solutions measures up to 2.5e-2 at 65**2
-                                 # and 5.2e-3 at 257**2; corrupted data
-                                 # lands at O(1)
+                                 # and 5.2e-3 at 257**2; wrong data can pass:
+                                 # a smooth 4.5% error, an odd-even pattern
 _WINDOW = ",".join(f"{v:g}" for v in REFERENCE_WINDOW.as_tuple())
 
 _NUMBERISH = re.compile(r"^-[0-9.][0-9.,eE+-]*$")

@@ -11,9 +11,13 @@ directions and their residual checks live here.  Analytic partials
 travel one way only: the solver's wx, wy become the partials of (u, v)
 for the analytic system residual, while (u, v) -> w carries values.
 
-The solve, both identifications and both residuals fill their output
-grids by cache-sized row blocks, on every CPU (``analysis.map_row_blocks``);
-no output depends on the block size or on the thread that fills a block.
+The solve, both identifications, both residuals and the solution fields'
+finiteness check work through their grids by cache-sized row blocks, on
+every CPU (``fields.map_row_blocks``), under its floating-point policy:
+numpy does not warn inside a block, and the first non-finite node is named
+by the solution field that holds it (NonFiniteCoefficient) or propagates
+as NaN to a residual maximum.  No output depends on the block size or on
+the thread that fills a block.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .analysis import map_row_blocks, spectral_lambda
+from .analysis import spectral_lambda
 from .errors import StencilOutOfDomain
 from .fields import (
     CoefficientField,
@@ -33,6 +37,7 @@ from .fields import (
     Region,
     _raise_non_finite,
     grid_axes,
+    map_row_blocks,
     read_lattice_csv,
     write_lattice_csv,
 )
@@ -197,7 +202,8 @@ class _GridField:
         if any(g.shape != shape for g in grids.values()):
             shapes = "/".join(str(g.shape) for g in grids.values())
             raise ValueError(f"grid shapes {shapes} do not match {shape}")
-        _raise_non_finite(self.xs[None, :], self.ys[:, None], list(grids.items()))
+        map_row_blocks(self.xs.size, self.ys.size, lambda s: _raise_non_finite(
+            self.xs[None, :], self.ys[s, None], [(k, g[s]) for k, g in grids.items()]))
 
     @property
     def region(self) -> Region:
@@ -252,7 +258,7 @@ def solve_characteristic(
     The initial profiles in the catalog are entire, so the formula is
     evaluated on the full requested rectangle; that choice is recorded in
     the field metadata.  The arithmetic per node does not depend on delta.
-    Each block of rows (see analysis.row_blocks) takes one f0 evaluation.
+    Each block of rows (see fields.row_blocks) takes one f0 evaluation.
     """
     xs, ys = grid_axes(region, grid)
     x = xs[None, :]
@@ -270,11 +276,8 @@ def solve_characteristic(
         np.negative(lam, out=lam)
         np.multiply(df, lam, out=wx[s])
         np.multiply(df, inv, out=wy[s])
-    # A profile that overflows leaves inf/nan in w, which ComplexField
-    # rejects naming the first such node, so numpy need not warn here.
-    with np.errstate(over="ignore", invalid="ignore"):
-        inv = 1.0 / (1.0 + x)
-        map_row_blocks(xs.size, ys.size, block)
+    inv = 1.0 / (1.0 + x)
+    map_row_blocks(xs.size, ys.size, block)
     meta = {
         "delta": fam.delta,
         "f0": f0.descriptor(),
@@ -325,6 +328,7 @@ def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
         if partials is None:
             return
         ux, uy, vx, vy = (g[s] for g in partials)
+        inv_delta = 1.0 / fam.delta  # overflows at a subnormal delta
         px, qx = w.wx.real[s], w.wx.imag[s]
         py, qy = w.wy.real[s], w.wy.imag[s]
         # d(a/b)/dx = 0 and d(a/b)/dy = 1/delta; 1/b = (1+x)/delta:
@@ -341,13 +345,10 @@ def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
         vx *= inv_delta
         np.multiply(one_x, qy, out=vy)
         vy *= inv_delta
-    # A subnormal delta overflows 1/b; RealPairField names the bad node.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        one_x = 1.0 + xs[None, :]
-        inv = 1.0 / one_x
-        b = fam.delta * inv
-        inv_delta = 1.0 / fam.delta
-        map_row_blocks(xs.size, ys.size, block)
+    one_x = 1.0 + xs[None, :]
+    inv = 1.0 / one_x
+    b = fam.delta * inv
+    map_row_blocks(xs.size, ys.size, block)
     return RealPairField(xs, ys, u, v, partials=partials)
 
 
@@ -396,7 +397,7 @@ def _relative(max_res: float, sizes) -> float:
 def _residual_partials(mode, xs, ys, grids, partials):
     """Axes and steps a residual is formed on, and a function giving the
     partial grids on one block of its rows (a slice, as from
-    analysis.row_blocks): in analytic mode those rows of the given
+    fields.row_blocks): in analytic mode those rows of the given
     ``partials``; in fd mode d/dx and d/dy of each of ``grids`` by central
     differences, on the interior axes (a one-node rim excluded)."""
     if mode == "analytic":
@@ -437,7 +438,7 @@ def system_residual(
     mode="fd" uses central differences of the stored grids (a one-node
     rim is excluded); mode="analytic" requires
     the field to carry closed-form partial grids.  Both work one block of
-    rows at a time (see analysis.row_blocks); NaN propagates to the maxima.
+    rows at a time (see fields.row_blocks); NaN propagates to the maxima.
 
     In fd mode the report's ``relative`` is the larger of max|r1| and
     max|r2|, each over the largest maximum of the terms it cancels: u_x
@@ -459,19 +460,20 @@ def system_residual(
         b1, b2 = r1[s], r2[s]
         np.multiply(alpha, vy, out=b1)
         np.multiply(beta, vy, out=b2)
-        terms = ([_max_abs(b1), _max_abs(b2), _max_abs(alpha), _max_abs(beta),
-                  _max_abs(ux), _max_abs(vx), _max_abs(uy)] if fd else [])
+        rows = slice(s.start, s.stop + 2)  # the rows of u and v differenced
+        terms = ([_max_abs(t) for t in (b1, b2, alpha, beta, ux, vx, uy,
+                                        uv.u[rows], uv.v[rows])] if fd else [])
         np.subtract(ux, b1, out=b1)
         np.subtract(vx + uy, b2, out=b2)
         return [_max_abs(b1), _max_abs(b2), *terms]
-    # Maxima of |r1|, |r2| and, in fd mode, of |alpha*v_y|, |beta*v_y|,
-    # |alpha|, |beta|, |u_x|, |v_x| and |u_y| over the blocks; np.max keeps NaN.
+    # Maxima of |r1|, |r2| and, in fd mode, of |alpha*v_y|, |beta*v_y|, |alpha|,
+    # |beta|, |u_x|, |v_x|, |u_y|, |u| and |v| over the blocks; np.max keeps NaN.
     ext = np.max(map_row_blocks(xs.size, ys.size, block), axis=0)
     max_r1, max_r2, *terms = (float(e) for e in ext)
     relative = None
     if fd:
-        alpha_vy, beta_vy, max_alpha, max_beta, max_ux, max_vx, max_uy = terms
-        rounding = _ROUNDING * max(_max_abs(uv.u), _max_abs(uv.v)) / min(hx, hy)
+        alpha_vy, beta_vy, max_alpha, max_beta, max_ux, max_vx, max_uy, *uv_max = terms
+        rounding = _ROUNDING * max(*uv_max) / min(hx, hy)
         sizes1 = [max_ux, alpha_vy, rounding * max(1.0, max_alpha)]
         sizes2 = [max_vx, max_uy, beta_vy, rounding * max(1.0, max_beta)]
         relative = float(np.max([_relative(max_r1, sizes1),

@@ -6,7 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from rigidpde import analysis, fields
+from rigidpde import fields
 from rigidpde.analysis import burgers_residual
 from rigidpde.errors import DomainError, NonFiniteCoefficient, StencilOutOfDomain
 from rigidpde.fields import (
@@ -56,6 +56,24 @@ def test_region_validation():
         Region(0.0, 0.0, -1.0, 1.0)
     with pytest.raises(ValueError):
         Region(0.0, 1.0, 1.0, -1.0)
+
+
+@pytest.mark.parametrize("bounds", [
+    (-0.5, np.inf, -1.0, 1.0), (-0.5, 1.0, -np.inf, 1.0),
+    (-0.5, 1.0, -1.0, np.inf),
+    (-0.5, 1.0, -1.7e308, 1.7e308),  # finite bounds, a side that overflows
+    (-0.5, 1.0, -1e308, 1e308),
+])
+def test_region_rejects_infinite_bounds_and_overflowing_sides(bounds):
+    message = (re.escape(f"region {bounds} is not finite or has a side longer "
+                         "than the largest float") + "$")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy scalars do not warn either
+        for kind in (float, np.float64):
+            with pytest.raises(ValueError, match=message):
+                Region(*(kind(v) for v in bounds))
+    # sides just short of the largest float are accepted
+    Region(-0.5, 1.0, -8e307, 8e307)
 
 
 def test_grid_spec_needs_two_nodes_per_axis():
@@ -335,7 +353,7 @@ LATTICE_HEADER = ["x", "y", "u", "v"]
 def block_reads(monkeypatch):
     """Parse lattice CSVs in blocks of 3 lines; returns the list of what the
     in-order block path returned for each read (None: the whole parse)."""
-    monkeypatch.setattr(analysis, "SCAN_CHUNK_NODES", 3)
+    monkeypatch.setattr(fields, "SCAN_CHUNK_NODES", 3)
     results = []
     block_path = fields._read_in_order
 
@@ -687,6 +705,27 @@ def test_grid_table_axes_follow_the_readers_rule():
         warnings.simplefilter("error")
         field = GridTableField([0.0, 1.0], [-1.6e308, 1.6e308], table, table)
     assert field.region.as_tuple() == (0.0, 1.0, -1.6e308, 1.6e308)
+
+
+def test_grid_table_interpolates_a_cell_wider_than_the_largest_float():
+    # the cell's width overflows; its weight is formed at half scale
+    alpha = np.array([[1.0, 1.0], [3.0, 3.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        field = GridTableField([0.0, 1.0], [-1.6e308, 1.6e308], alpha, alpha)
+        assert field.values(0.5, 0.0) == (2.0, 2.0)
+        a, _ = field.values(np.array([0.0, 1.0, 0.5]),
+                            np.array([-1.6e308, 1.6e308, 0.8e308]))
+    assert a.tolist() == [1.0, 3.0, 2.5]
+    # beside a wide cell, a narrow one keeps the plain quotient, bit for bit
+    ys = np.array([-1.6e308, 0.0, 0.3, 1.6e308])
+    table = np.arange(8.0).reshape(4, 2) ** 2
+    field = GridTableField([0.0, 1.0], ys, table, table)
+    y = np.linspace(0.0, 0.3, 7)
+    t = (y - 0.0) / (0.3 - 0.0)
+    want = (1 - t) * ((1 - 0.25) * table[1, 0] + 0.25 * table[1, 1]) \
+        + t * ((1 - 0.25) * table[2, 0] + 0.25 * table[2, 1])
+    assert field.values(0.25, y)[0].tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("dtype", [float, complex])

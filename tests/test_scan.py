@@ -10,9 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from rigidpde import analysis
+from rigidpde import fields
 from rigidpde.analysis import (
-    SCAN_CHUNK_NODES,
     TABLE_DELTAS,
     RegionScanReport,
     _obstruction_with_disc,
@@ -30,6 +29,7 @@ from rigidpde.errors import (
 )
 from rigidpde.fields import (
     REFERENCE_WINDOW,
+    SCAN_CHUNK_NODES,
     CallableField,
     CoefficientField,
     CoefficientSample,
@@ -99,9 +99,9 @@ def scan_in_chunks(field, grid, rows=None, workers=None):
     default chunk size) on ``workers`` workers (None: one per CPU)."""
     with pytest.MonkeyPatch.context() as mp:
         if rows is not None:
-            mp.setattr(analysis, "SCAN_CHUNK_NODES", rows * grid.nx)
+            mp.setattr(fields, "SCAN_CHUNK_NODES", rows * grid.nx)
         if workers is not None:
-            mp.setattr(analysis, "_WORKERS", workers)
+            mp.setattr(fields, "_WORKERS", workers)
         return scan_region(field, W, grid)
 
 
@@ -242,7 +242,7 @@ def test_scan_memory_is_a_few_chunks_a_thread():
             used = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert used <= 2 * per_node * analysis.chunk_rows(grid.nx, grid.ny) \
+        assert used <= 2 * per_node * fields.chunk_rows(grid.nx, grid.ny) \
             * grid.nx
 
 

@@ -8,7 +8,7 @@ import warnings
 import numpy as np
 import pytest
 
-from rigidpde import analysis
+from rigidpde import fields
 from rigidpde.analysis import spectral_lambda
 from rigidpde.errors import NonFiniteCoefficient, StencilOutOfDomain
 from rigidpde.fields import (
@@ -688,14 +688,14 @@ def test_kernels_match_meshgrid_reference_property():
 
 
 # --- row blocks ---------------------------------------------------------------
-# The kernels work through the grid in blocks of analysis.chunk_rows rows.
+# The kernels work through the grid in blocks of fields.chunk_rows rows.
 # Every operation is pointwise and the maxima are exact, so no output may
 # depend on the block size, down to the sign of a zero.
 
 def in_blocks(rows, nx, fn, *args, **kwargs):
     """fn(*args, **kwargs) with blocks of ``rows`` rows of a grid nx wide."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "SCAN_CHUNK_NODES", rows * nx)
+        mp.setattr(fields, "SCAN_CHUNK_NODES", rows * nx)
         return fn(*args, **kwargs)
 
 
@@ -777,14 +777,14 @@ def test_residual_maxima_keep_nan_across_blocks():
 
 
 # --- blocks on every CPU --------------------------------------------------------
-# From two blocks up, analysis.map_row_blocks shares the blocks between
+# From two blocks up, fields.map_row_blocks shares the blocks between
 # the calling thread and a pool.  The tests pin the worker
 # count, so they take the same path on any machine.
 
 def on_threads(workers, rows, nx, fn, *args, **kwargs):
     """fn(*args, **kwargs) with ``workers`` workers and ``rows``-row blocks."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_WORKERS", workers)
+        mp.setattr(fields, "_WORKERS", workers)
         return in_blocks(rows, nx, fn, *args, **kwargs)
 
 
@@ -795,7 +795,7 @@ def test_map_row_blocks_returns_blocks_in_order(workers):
         return s, threading.get_ident()
 
     for ny in (1, 2, 3, 40):
-        got = on_threads(workers, 1, 5, analysis.map_row_blocks, 5, ny, block)
+        got = on_threads(workers, 1, 5, fields.map_row_blocks, 5, ny, block)
         assert [s for s, _ in got] == [slice(a, a + 1) for a in range(ny)]
         threads = {ident for _, ident in got}
         if workers == 1 or ny == 1:  # the serial loop
@@ -859,14 +859,79 @@ class SlowRows(np.ndarray):
 
 
 def test_threads_keep_the_callers_errstate():
-    # 1/b overflows at a subnormal delta: to_real_pair ignores the warning
-    # and RealPairField names the node; a worker thread must not warn
-    fam = DeltaFamily(5e-324)
-    w = solve_characteristic(fam, LambdaPower(2), K, GridSpec(9, 40))
-    w.values = w.values.view(SlowRows)
-    for workers in (1, 2):
-        with pytest.raises(NonFiniteCoefficient, match=r"^non-finite u = "):
-            on_threads(workers, 1, 9, to_real_pair, fam, w)
+    # 1/b overflows at a subnormal delta, and 1/delta too for a numpy
+    # float: the blocks ignore the warning and RealPairField names the
+    # node; a worker thread must not warn
+    for delta in (5e-324, np.float64(5e-324)):
+        fam = DeltaFamily(delta)
+        w = solve_characteristic(fam, LambdaPower(2), K, GridSpec(9, 40))
+        w.values = w.values.view(SlowRows)
+        for workers in (1, 2):
+            with pytest.raises(NonFiniteCoefficient, match=(
+                    r"^non-finite u = -inf at \(x=-0\.5, y=-1\.0\)$")):
+                on_threads(workers, 1, 9, to_real_pair, fam, w)
+
+
+# Every block runs under np.errstate(all="ignore"), serial or pooled: the
+# solution fields and the residual maxima name or keep what overflows.
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocks_run_under_the_engines_errstate(workers):
+    def block(s):
+        return np.float64(1e308) * 10.0, np.geterr()
+
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = on_threads(workers, 1, 5, fields.map_row_blocks, 5, 4, block)
+    assert len(got) == 4
+    for value, state in got:
+        assert value == np.inf and set(state.values()) == {"ignore"}
+    assert np.geterr() == before  # the caller's own state is back
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_from_real_pair_names_the_first_node_where_w_overflows(workers):
+    # u + a*v overflows where a = y/(1+x) > 0.3; the first such node in
+    # row order is named, as NonFiniteCoefficient and not a warning
+    fam = DeltaFamily(0.5)
+    xs, ys = grid_axes(K, GridSpec(9, 40))
+    shape = (ys.size, xs.size)
+    uv = RealPairField(xs, ys, np.full(shape, 1.5e308), np.full(shape, 1e308))
+    inv = 1.0 / (1.0 + xs[None, :])
+    with np.errstate(over="ignore"):  # w = (u + a*v) + i*(b*v), as in the kernel
+        want = (uv.u + ys[:, None] * inv * uv.v) + 1j * (fam.delta * inv * uv.v)
+    assert np.isinf(want.real).any() and np.isfinite(want.imag).all()
+    with pytest.raises(NonFiniteCoefficient) as whole:
+        fields._raise_non_finite(xs[None, :], ys[:, None], [("w", want)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteCoefficient) as excinfo:
+            on_threads(workers, 1, 9, from_real_pair, fam, uv)
+    assert str(excinfo.value) == str(whole.value)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_solution_fields_check_by_blocks_and_name_the_first_node(workers):
+    # the bad values sit in rows 3, 5 and 30 of a 40-row grid: checked one
+    # row at a time, the first node in row order is named as by a check of
+    # the whole grid
+    xs, ys = grid_axes(K, GridSpec(9, 40))
+    u, v = np.zeros((40, 9)), np.zeros((40, 9))
+    u[5, 1], v[3, 7], u[30, 0] = np.nan, np.inf, -np.inf
+    with pytest.raises(NonFiniteCoefficient) as whole:
+        fields._raise_non_finite(xs[None, :], ys[:, None],
+                                 [("u", u), ("v", v)])
+    for rows in (1, 2, 40):
+        with pytest.raises(NonFiniteCoefficient) as excinfo:
+            on_threads(workers, rows, 9, RealPairField, xs, ys, u, v)
+        assert str(excinfo.value) == str(whole.value)
+    w = np.zeros((40, 9), dtype=complex)
+    w[30, 2], w[4, 8] = np.nan, complex(0.0, np.inf)
+    with pytest.raises(NonFiniteCoefficient, match=(
+            rf"^non-finite w = infj at \(x={float(xs[8])!r}, "
+            rf"y={float(ys[4])!r}\)$")):
+        on_threads(workers, 1, 9, ComplexField, xs, ys, w)
 
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
@@ -874,8 +939,8 @@ def test_forked_child_makes_its_own_pool():
     fam = DeltaFamily(0.5)
     args = (fam, LambdaPower(2), K, GridSpec(9, 40))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_WORKERS", 2)
-        mp.setattr(analysis, "SCAN_CHUNK_NODES", 9)
+        mp.setattr(fields, "_WORKERS", 2)
+        mp.setattr(fields, "SCAN_CHUNK_NODES", 9)
         want = solve_characteristic(*args).values  # starts the pool
         with warnings.catch_warnings():  # 3.12 warns of forking with threads
             warnings.simplefilter("ignore", DeprecationWarning)
@@ -885,7 +950,7 @@ def test_forked_child_makes_its_own_pool():
             try:
                 got = solve_characteristic(*args).values
                 code = 0 if (np.array_equal(got, want)
-                             and analysis._pool[0] == os.getpid()) else 2
+                             and fields._pool[0] == os.getpid()) else 2
             finally:
                 os._exit(code)
     deadline = time.monotonic() + 60.0
@@ -949,17 +1014,16 @@ def test_transport_report_matches_whole_grid_reference(delta, mode):
 def test_kernel_memory_is_outputs_plus_blocks(monkeypatch):
     # Each kernel allocates its outputs once and forms its temporaries one
     # block at a time, on two threads here (a pinned worker count, so the
-    # result does not depend on the machine's CPUs).  The budget beyond
-    # the outputs is eight complex blocks plus the two boolean masks of
-    # the finiteness check, which spans the grid to name a bad node; any
-    # one whole-grid temporary (8 or 16 bytes a node) exceeds it.
-    monkeypatch.setattr(analysis, "_WORKERS", 2)
+    # result does not depend on the machine's CPUs), and so does the
+    # finiteness check of the fields it returns.  The budget beyond the
+    # outputs is eight complex blocks; any one whole-grid float temporary
+    # (8 or 16 bytes a node) exceeds it.
+    monkeypatch.setattr(fields, "_WORKERS", 2)
     fam = DeltaFamily(1e-3)
     f0 = parse_f0(REF_F0[2])
     grid = GridSpec(1025, 1025)
     nodes = grid.nx * grid.ny
-    budget = (8 * analysis.chunk_rows(grid.nx, grid.ny) * grid.nx * 16
-              + 2 * nodes)
+    budget = 8 * fields.chunk_rows(grid.nx, grid.ny) * grid.nx * 16
     solve_characteristic(fam, f0, K, GridSpec(9, 9))  # first-call set-up
 
     def peak(fn, *args, **kwargs):
@@ -1021,7 +1085,7 @@ def test_csv_reader_memory_is_values_plus_blocks(tmp_path):
     write_real_pair_csv(to_real_pair(fam, w), up)
     write_complex_csv(w, wp)
     read_real_pair_csv(up)  # first-call set-up
-    budget = 16 * n * n + 3 * 4 * 8 * analysis.SCAN_CHUNK_NODES
+    budget = 16 * n * n + 3 * 4 * 8 * fields.SCAN_CHUNK_NODES
     for read, path in [(read_real_pair_csv, up), (read_complex_csv, wp)]:
         tracemalloc.start()
         try:
