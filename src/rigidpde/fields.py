@@ -26,13 +26,16 @@ It sets one floating-point policy for every block, serial or pooled:
 np.errstate(all="ignore").  No block warns; a value that overflows or is
 invalid stays in the block's output, and the caller names the first
 non-finite node (NonFiniteCoefficient) or lets it propagate as NaN to a
-maximum.
+maximum.  Its first call in a process sets one allocation policy: under
+glibc, grids up to HEAP_KEEP_BYTES come from the heap and stay there when
+freed, so the next kernel reuses them instead of faulting in fresh pages.
 """
 
 from __future__ import annotations
 
 import contextvars
 import csv
+import ctypes
 import math
 import os
 import warnings
@@ -168,9 +171,41 @@ def chunk_rows(nx: int, ny: int) -> int:
 
 
 def row_blocks(nx: int, ny: int):
-    """Slices of the rows of an (ny, nx) grid in blocks of chunk_rows rows."""
+    """Slices of the rows of an (ny, nx) grid in blocks of chunk_rows rows;
+    an empty grid has none."""
+    if nx == 0 or ny == 0:
+        return []
     rows = chunk_rows(nx, ny)
     return [slice(a, a + rows) for a in range(0, ny, rows)]
+
+
+# glibc serves an allocation above its mmap threshold with a fresh mapping,
+# which the kernel zero-fills on first touch and unmaps when it is freed.
+# Both thresholds are raised above a solve_large op's grids (about 540 MB),
+# so grids come from the heap and a freed one is reused by the next kernel;
+# a process then keeps up to this much freed heap resident.
+HEAP_KEEP_BYTES = 1 << 30
+_GLIBC_MMAP_MAX = 32 << 20  # glibc's documented 64-bit maximum
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+
+
+def _keep_freed_grids():
+    """Raise glibc's mmap threshold to HEAP_KEEP_BYTES, or where glibc
+    refuses that to _GLIBC_MMAP_MAX, which still covers a block's
+    temporaries; then the trim threshold to the same size.  Setting either
+    stops glibc adjusting both, and one set alone leaves the other at
+    128 KB, which faults far more, so the trim threshold follows only an
+    accepted mmap threshold.  Nothing happens without mallopt (macOS,
+    Windows)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    for size in (HEAP_KEEP_BYTES, _GLIBC_MMAP_MAX):
+        if mallopt(_M_MMAP_THRESHOLD, size):
+            mallopt(_M_TRIM_THRESHOLD, size)
+            return
 
 
 _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -183,8 +218,8 @@ def map_row_blocks(nx: int, ny: int, fn):
     after a failure; the earliest failed block raises."""
     global _pool
     blocks = row_blocks(nx, ny)
-    if _pool[0] != os.getpid():  # first call in this process: 4 MB, freed,
-        np.empty((8, SCAN_CHUNK_NODES), complex)  # lifts glibc's trim threshold
+    if _pool[0] != os.getpid():  # first call in this process
+        _keep_freed_grids()
         _pool = (os.getpid(), None)
     with np.errstate(all="ignore"):  # no block warns; callers name bad nodes
         if _WORKERS < 2 or len(blocks) < 2:

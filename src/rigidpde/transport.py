@@ -23,6 +23,7 @@ the thread that fills a block.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -406,6 +407,10 @@ def _residual_partials(mode, xs, ys, grids, partials):
         return xs, ys, None, None, lambda s: [p[s] for p in partials]
     if mode != "fd":
         raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
+    # spans in Python floats, which do not warn; a finite span has finite steps
+    if not all(math.isfinite(float(a[-1]) - float(a[0])) for a in (xs, ys) if a.size):
+        raise ValueError("finite differences require axes no longer than "
+                         "the largest float")
     hx, hy = np.diff(xs), np.diff(ys)
     if (np.max(hx) - np.min(hx) > 1e-9 * (xs[-1] - xs[0])
             or np.max(hy) - np.min(hy) > 1e-9 * (ys[-1] - ys[0])):

@@ -394,6 +394,24 @@ def test_verify_constants_residual_zero(tmp_path, capsys):
     assert "max |r1| = 0" in out
 
 
+@pytest.mark.parametrize("option,header", [("--uv-csv", "x,y,u,v"),
+                                           ("--w-csv", "x,y,re,im")])
+def test_verify_rejects_an_axis_wider_than_the_largest_float(
+        tmp_path, capsys, option, header):
+    # y spans 3.2e308: its steps are finite, but the span and their mean
+    # overflow, so no step could be reported (filterwarnings = error)
+    path = tmp_path / "wide.csv"
+    with open(path, "w") as fh:
+        fh.write(header + "\n")
+        for y in (-1.6e308, 0.0, 1.6e308):
+            for x in (0.0, 0.5, 1.0):
+                fh.write(f"{x},{y},1.0,2.0\n")
+    code, out, err = run(capsys, "verify", "--delta", "1", option, str(path))
+    assert (code, out) == (1, "")
+    assert err == ("error: finite differences require axes no longer than "
+                   "the largest float\n")
+
+
 @pytest.mark.parametrize("delta,f0", [("1e-4", "exp:0.5-0.5i,0"),
                                       ("1", "lpow:3"), ("0.1", "lpow:1")])
 def test_verify_passes_exact_solutions_by_relative_residual(

@@ -1,9 +1,13 @@
 import json
 import os
+import platform
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -961,6 +965,116 @@ def test_forked_child_makes_its_own_pool():
             pytest.fail("the forked child hung in the kernel")
         time.sleep(0.01)
     assert os.waitstatus_to_exitcode(status[1]) == 0
+
+
+# An empty grid has no row blocks: the engine calls nothing, and the
+# solution fields build, as they did before their check joined the blocks.
+
+@pytest.mark.parametrize("shape", [(0, 0), (0, 2), (2, 0)])
+def test_empty_grids_have_no_blocks(shape):
+    ny, nx = shape
+    assert fields.row_blocks(nx, ny) == []
+    assert fields.map_row_blocks(nx, ny, lambda s: pytest.fail("called")) == []
+    xs, ys = np.linspace(0.0, 1.0, nx), np.linspace(0.0, 1.0, ny)
+    assert ComplexField(xs, ys, np.empty(shape, complex)).values.shape == shape
+    uv = RealPairField(xs, ys, np.empty(shape), np.empty(shape))
+    assert uv.u.shape == uv.v.shape == shape
+
+
+# The engine's first call in a process raises glibc's mmap and trim
+# thresholds (fields._keep_freed_grids), so a freed grid stays on the heap
+# for the next kernel instead of being unmapped and zero-filled anew.  The
+# tests below replace ctypes.CDLL and make the engine's next call its first.
+
+def first_call_with(mp, cdll):
+    mp.setattr(fields, "_WORKERS", 1)  # no pool to start
+    mp.setattr(fields, "_pool", (None, None))
+    mp.setattr(fields.ctypes, "CDLL", cdll)
+
+
+def _no_libc(name):
+    raise OSError("no C library")
+
+
+def _no_dlopen_null(name):  # Windows
+    raise TypeError("LoadLibrary() argument 1 must be str, not None")
+
+
+@pytest.mark.parametrize("cdll", [
+    _no_libc,
+    lambda name: SimpleNamespace(),  # macOS: a libc without mallopt
+    _no_dlopen_null,
+], ids=["no-libc", "no-mallopt", "no-dlopen-null"])
+def test_kernels_run_without_mallopt(cdll):
+    args = (DeltaFamily(1e-3), parse_f0(REF_F0[2]), K, GridSpec(129, 48))
+    want, want_maxima = on_threads(1, 3, 129, pipeline, *args)
+    with pytest.MonkeyPatch.context() as mp:
+        first_call_with(mp, cdll)
+        got, maxima = in_blocks(3, 129, pipeline, *args)
+        assert fields._pool == (os.getpid(), None)  # the first call ran
+    for g, w in zip(got, want):
+        assert_bits(g, w)
+    assert repr(maxima) == repr(want_maxima)
+
+
+@pytest.mark.parametrize("refused,calls", [
+    # the trim threshold follows the first mmap threshold glibc takes
+    ((), [(-3, 1 << 30), (-1, 1 << 30)]),
+    (((-3, 1 << 30),), [(-3, 1 << 30), (-3, 32 << 20), (-1, 32 << 20)]),
+    # and is left alone when glibc takes none (musl's mallopt does nothing)
+    (((-3, 1 << 30), (-3, 32 << 20)), [(-3, 1 << 30), (-3, 32 << 20)]),
+], ids=["taken", "32-MiB-fallback", "none-taken"])
+def test_trim_threshold_follows_an_accepted_mmap_threshold(refused, calls):
+    asked = []
+
+    def mallopt(param, value):
+        asked.append((param, value))
+        return int((param, value) not in refused)
+
+    def cdll(name):
+        assert name is None  # the process's own C library
+        return SimpleNamespace(mallopt=mallopt)
+
+    with pytest.MonkeyPatch.context() as mp:
+        first_call_with(mp, cdll)
+        fields.map_row_blocks(5, 4, lambda s: None)
+        fields.map_row_blocks(5, 4, lambda s: None)  # not a first call
+    assert fields.HEAP_KEEP_BYTES == 1 << 30
+    assert asked == calls
+
+
+KEEP_FREED_GRIDS = """
+import resource
+import numpy as np
+from rigidpde.fields import REFERENCE_WINDOW, DeltaFamily, GridSpec, grid_axes
+from rigidpde.transport import RealPairField, from_real_pair
+
+xs, ys = grid_axes(REFERENCE_WINDOW, GridSpec(1449, 1449))
+uv = RealPairField(xs, ys, np.ones((1449, 1449)), np.ones((1449, 1449)))
+faults = []
+for _ in range(2):
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    w = from_real_pair(DeltaFamily(0.5), uv)
+    faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    del w
+print(*faults)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc's mallopt")
+def test_a_freed_grid_above_32_mib_is_reused(tmp_path):
+    # w of a 1449² pair is 33.6 MB, above glibc's largest dynamic mmap
+    # threshold: without the policy each call maps and faults it anew.  A
+    # subprocess, since the policy is process-wide.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [os.path.dirname(os.path.dirname(fields.__file__))]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    proc = subprocess.run([sys.executable, "-c", KEEP_FREED_GRIDS], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    first, again = map(int, proc.stdout.split())
+    assert again < first / 10, (first, again)
 
 
 # The transport residual as it was formed before it joined the row blocks:
