@@ -9,12 +9,13 @@ vanishing makes the system exactly solvable by characteristics.
 A region scan works through its grid by row blocks on every CPU
 (``fields.map_row_blocks``), under the engine's floating-point policy:
 each block's extrema are checked, and the first NaN or infinite quantity
-is named with its node.
+is named with its node.  A block's temporaries are plain numpy arrays;
+the engine's allocation policy keeps them on the heap once freed, so the
+next block reuses their memory.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -32,7 +33,6 @@ from .fields import (
     _raise_non_finite,
     aligned_gridspec,
     central_stencil,
-    chunk_rows,
     grid_axes,
     map_row_blocks,
     report_row,
@@ -70,9 +70,9 @@ def _finite_lambda(alpha, beta, x=None, y=None):
     return disc, lam
 
 
-def _lambda_from(alpha, beta, x=None, y=None, named=(), disc=None, lam=None):
-    """(disc, lambda) = (4*alpha - beta**2, (-beta + i*sqrt(disc))/2),
-    formed in the buffers ``disc`` and ``lam`` when given.
+def _lambda_from(alpha, beta, x=None, y=None, named=()):
+    """(disc, lambda) = (4*alpha - beta**2, (-beta + i*sqrt(disc))/2) on
+    the broadcast shape of alpha, beta, x and y.
 
     A disc <= 0 raises NonFiniteCoefficient at the first node (x, y) where
     a quantity of ``named`` (default alpha, beta) is NaN or infinite, else
@@ -80,10 +80,8 @@ def _lambda_from(alpha, beta, x=None, y=None, named=(), disc=None, lam=None):
     """
     shape = np.broadcast_shapes(np.shape(alpha), np.shape(beta), np.shape(x),
                                 np.shape(y))
-    if disc is None:
-        disc = np.empty(shape)
-    if lam is None:
-        lam = np.empty(shape, dtype=complex)
+    disc = np.empty(shape)
+    lam = np.empty(shape, dtype=complex)
     np.multiply(alpha, 4.0, out=lam.real)
     np.multiply(beta, beta, out=disc)
     np.subtract(lam.real, disc, out=disc)  # 4*alpha - beta**2
@@ -134,17 +132,13 @@ def obstruction(cs: CoefficientSample):
     return _obstruction_with_disc(cs, discriminant(cs))
 
 
-def _obstruction_with_disc(cs: CoefficientSample, disc, work=None):
-    """(A, B) from a sample and its discriminant, formed in ``work``: four
-    float buffers of the broadcast shape (allocated when not given), which
-    end up holding B and A in ``work[0]`` and ``work[3]``.  Each step is one
-    in-place operation in the order of the formula."""
+def _obstruction_with_disc(cs: CoefficientSample, disc):
+    """(A, B) from a sample and its discriminant, on their broadcast shape.
+    Each step is one in-place operation in the order of the formula."""
     alpha, beta = cs.alpha, cs.beta
-    if work is None:
-        shape = np.broadcast_shapes(*(np.shape(v) for v in (
-            alpha, beta, cs.alpha_x, cs.alpha_y, cs.beta_x, cs.beta_y, disc)))
-        work = np.empty((4,) + shape)
-    t1, t2, tmp, a = (work[k, ...] for k in range(4))
+    shape = np.broadcast_shapes(*(np.shape(v) for v in (
+        alpha, beta, cs.alpha_x, cs.alpha_y, cs.beta_x, cs.beta_y, disc)))
+    t1, t2, tmp, a = (np.empty(shape) for _ in range(4))
     np.multiply(alpha, cs.beta_y, out=t1)
     np.subtract(cs.alpha_x, t1, out=t1)  # alpha_x - alpha*beta_y
     np.multiply(beta, cs.beta_y, out=tmp)
@@ -267,33 +261,47 @@ def scan_region(
     The scan samples the field on the broadcast axes ``xs[None, :]`` and
     ``ys[a:b, None]`` of one chunk of grid rows at a time.  A chunk holds
     as many rows as fit in fields.SCAN_CHUNK_NODES nodes (at least one),
-    so its temporaries stay cache-sized at any grid width.
-    fields.map_row_blocks shares the chunks among the CPUs, with numpy's
-    warnings off: a chunk whose extrema are not all finite names its
-    first bad node instead.  Each thread forms |mu| and (A, B) in its
-    own buffers, reused from chunk to chunk.  The min/max reductions are
-    exact and order-independent, so the report depends on neither the
-    chunk size nor the thread count.
+    so its temporaries stay cache-sized at any grid width; the engine's
+    allocation policy keeps them on the heap, where the next chunk reuses
+    them.  fields.map_row_blocks shares the chunks among the CPUs, with
+    numpy's warnings off: a chunk whose extrema are not all finite names
+    its first bad node instead.  The min/max reductions are exact and
+    order-independent, so the report depends on neither the chunk size
+    nor the thread count.
     """
     rigidity_tol = (RIGIDITY_TOL_CLOSED_FORM if field.closed_form_partials
                     else RIGIDITY_TOL_FINITE_DIFF)
     xs, ys = grid_axes(region, grid)
-    rows = chunk_rows(xs.size, ys.size)
     x = xs[None, :]
-    local = threading.local()
 
     def chunk(s):
-        if not hasattr(local, "buf"):
-            local.buf = np.empty((6, rows, xs.size), dtype=complex)
-        real = local.buf[:3].view(float).reshape(6, rows, xs.size)
         y = ys[s, None]
-        abs_mu, a, b, named = _scan_chunk(field, x, y, real[:, :y.size],
-                                          local.buf[3:, :y.size])
+        cs = field.sample(x, y)
+        lam = field.spectral(x, y)
+        named = list(vars(cs).items())  # alpha, beta, then the four partials
+        if lam is not None:
+            b = lam.imag
+            if not b.min() > 0.0:
+                _raise_non_finite(x, y, named + [("lambda", lam)])
+                b = np.broadcast_to(b, np.broadcast_shapes(x.shape, y.shape))
+                k = int(np.argmin(b))
+                px, py = _node(x, y, k, b.shape)
+                raise InvalidBranch(
+                    f"field's spectral data has Im(lambda) = {b.flat[k]:.6g} "
+                    f"<= 0 at (x={px:.9g}, y={py:.9g})"
+                )
+            disc = b + b
+            disc *= disc                   # (b + b)**2
+        else:
+            disc, lam = _lambda_from(cs.alpha, cs.beta, x, y, named)
+        abs_mu = np.abs((lam - 1j) / (lam + 1j))
+        a, b = _obstruction_with_disc(cs, disc)
         # maxima of -|mu|, |mu|, A, -A, B, -B; a NaN among them raises
         ext = np.array([-abs_mu.min(), abs_mu.max(), a.max(), -a.min(),
                         b.max(), -b.min()])
         if not np.isfinite(ext).all():
-            _raise_non_finite(x, y, named)
+            _raise_non_finite(x, y, named + [("lambda", lam), ("|mu|", abs_mu),
+                                             ("A", a), ("B", b)])
         return ext
 
     ext = np.max(map_row_blocks(xs.size, ys.size, chunk), axis=0)
@@ -314,40 +322,6 @@ def scan_region(
                   else "finite-difference"),
         delta=getattr(field, "delta", None),
     )
-
-
-def _scan_chunk(field: CoefficientField, x, y, real, cplx):
-    """|mu|, A and B on the nodes of the axes x (1, nx) and y (n, 1),
-    formed in the buffers ``real`` (6, n, nx) and ``cplx`` (3, n, nx);
-    also returns the named quantities a non-finite value is looked up in.
-    """
-    cs = field.sample(x, y)
-    lam = field.spectral(x, y)
-    named = list(vars(cs).items())  # alpha, beta, then the four partials
-    disc, abs_mu = real[0], real[1]
-    if lam is not None:
-        b = lam.imag
-        if not b.min() > 0.0:
-            _raise_non_finite(x, y, named + [("lambda", lam)])
-            b = np.broadcast_to(b, disc.shape)
-            k = int(np.argmin(b))
-            px, py = _node(x, y, k, b.shape)
-            raise InvalidBranch(
-                f"field's spectral data has Im(lambda) = {b.flat[k]:.6g} "
-                f"<= 0 at (x={px:.9g}, y={py:.9g})"
-            )
-        np.add(b, b, out=disc)
-        disc *= disc                       # (b + b)**2
-    else:
-        lam = _lambda_from(cs.alpha, cs.beta, x, y, named, disc, cplx[0])[1]
-    num, den = cplx[1], cplx[2]
-    np.subtract(lam, 1j, out=num)
-    np.add(lam, 1j, out=den)
-    num /= den
-    np.abs(num, out=abs_mu)                # |(lambda - i)/(lambda + i)|
-    a, b = _obstruction_with_disc(cs, disc, real[2:])
-    return abs_mu, a, b, named + [("lambda", lam), ("|mu|", abs_mu), ("A", a),
-                                  ("B", b)]
 
 
 # The delta values of the built-in degeneration table.

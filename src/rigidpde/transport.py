@@ -407,8 +407,12 @@ def _residual_partials(mode, xs, ys, grids, partials):
         return xs, ys, None, None, lambda s: [p[s] for p in partials]
     if mode != "fd":
         raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
+    if ys.size <= 2 or xs.size <= 2:
+        raise StencilOutOfDomain(
+            f"grid {(ys.size, xs.size)} too small for a stride (1, 1) stencil"
+        )
     # spans in Python floats, which do not warn; a finite span has finite steps
-    if not all(math.isfinite(float(a[-1]) - float(a[0])) for a in (xs, ys) if a.size):
+    if not all(math.isfinite(float(a[-1]) - float(a[0])) for a in (xs, ys)):
         raise ValueError("finite differences require axes no longer than "
                          "the largest float")
     hx, hy = np.diff(xs), np.diff(ys)
@@ -416,10 +420,6 @@ def _residual_partials(mode, xs, ys, grids, partials):
             or np.max(hy) - np.min(hy) > 1e-9 * (ys[-1] - ys[0])):
         raise ValueError("finite differences require a uniformly spaced grid")
     hx, hy = float(np.mean(hx)), float(np.mean(hy))
-    if ys.size <= 2 or xs.size <= 2:
-        raise StencilOutOfDomain(
-            f"grid {(ys.size, xs.size)} too small for a stride (1, 1) stencil"
-        )
 
     def block(s):
         # interior rows a..b-1 are grid rows a+1..b (clamped: see row_blocks)

@@ -228,11 +228,13 @@ def test_scan_samplers_run_on_every_worker(workers):
 
 
 def test_scan_memory_is_a_few_chunks_a_thread():
-    # Each thread reuses its own buffers (nine floats a chunk node) and
-    # forms the field's samples one chunk at a time, so the peak is a
-    # few hundred bytes a chunk node for each of the two threads here; at
-    # 2001**2 any whole-grid float temporary (32 MB) exceeds it.
-    for field, n, per_node in ((DeltaField(DeltaFamily(1e-2)), 2001, 200),
+    # Each thread forms the field's samples and the chunk's temporaries one
+    # chunk at a time and drops them before the next, so the peak is at
+    # most a few hundred bytes a chunk node for each of the two threads
+    # here; at 2001**2 any whole-grid float temporary (32 MB) exceeds it,
+    # and so does a buffer kept beside the temporaries.
+    for field, n, per_node in ((DeltaField(DeltaFamily(1e-2)), 2001, 150),
+                               (family_callable(1e-2), 2001, 150),
                                (make_field("table", 1e-2), 401, 350)):
         grid = aligned_gridspec(W, n, n)
         scan_in_chunks(field, GridSpec(9, 9), workers=2)  # first-call set-up

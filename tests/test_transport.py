@@ -981,6 +981,18 @@ def test_empty_grids_have_no_blocks(shape):
     assert uv.u.shape == uv.v.shape == shape
 
 
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_fd_residuals_reject_an_empty_field(shape):
+    ny, nx = shape
+    field = DeltaField(DeltaFamily(0.5))
+    xs, ys = np.linspace(0.0, 1.0, nx), np.linspace(0.0, 1.0, ny)
+    match = rf"^grid \({ny}, {nx}\) too small for a stride \(1, 1\) stencil$"
+    with pytest.raises(StencilOutOfDomain, match=match):
+        system_residual(field, RealPairField(xs, ys, np.empty(shape), np.empty(shape)))
+    with pytest.raises(StencilOutOfDomain, match=match):
+        transport_residual(field, ComplexField(xs, ys, np.empty(shape, complex)))
+
+
 # The engine's first call in a process raises glibc's mmap and trim
 # thresholds (fields._keep_freed_grids), so a freed grid stays on the heap
 # for the next kernel instead of being unmapped and zero-filled anew.  The
