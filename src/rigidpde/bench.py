@@ -29,17 +29,6 @@ from .transport import InitialData, parse_f0, solve_characteristic, system_resid
 CSV_HEADER = "delta,kappa,char_time_s,char_residual,beltrami_iters,beltrami_verdict"
 SCAN_NOMINAL = 401  # kappa scan resolution per axis (then axis-aligned)
 
-# The JSON type of each config key: what it must be, the Python type of its
-# entries, and how many (0: a list of any length, None: a single value).
-_CONFIG_TYPES = {
-    "deltas": ("a list of numbers", (int, float), 0),
-    "region": ("4 numbers", (int, float), 4),
-    "grid": ("2 integers", int, 2),
-    "f0": ("a string", str, None),
-    "repetitions": ("an integer", int, None),
-    "include_beltrami": ("a boolean", bool, None),
-}
-
 
 @dataclass
 class BenchConfig:
@@ -59,37 +48,11 @@ class BenchConfig:
             raise ValueError("need repetitions >= 3 for a stable median")
 
     def to_dict(self) -> dict:
-        """Every field, so that from_dict(to_dict()) gives this config back."""
+        """Every field as plain JSON values: the report's ``config``."""
         d = {f.name: getattr(self, f.name) for f in fields(self)}
         d.update(deltas=list(self.deltas), region=list(self.region.as_tuple()),
                  grid=[self.grid.nx, self.grid.ny])
         return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "BenchConfig":
-        """The fields given in ``d`` over the defaults; other keys, and
-        values of the wrong JSON type, raise ValueError naming the key."""
-        if not isinstance(d, dict):
-            raise ValueError(f"bench config must be a JSON object, not {type(d).__name__}")
-        unknown = sorted(set(d) - {f.name for f in fields(cls)})
-        if unknown:
-            raise ValueError(f"unknown bench config keys: {', '.join(unknown)}")
-        for key, value in d.items():
-            what, kind, n = _CONFIG_TYPES[key]
-            entries = [value] if n is None else value
-            # JSON true and false are booleans only, not numbers
-            if not (isinstance(entries, list) and n in (None, 0, len(entries))
-                    and all(isinstance(e, kind) and isinstance(e, bool) == (kind is bool)
-                            for e in entries)):
-                raise ValueError(f"bench config {key} must be {what}, got {value!r}")
-        kwargs = dict(d)
-        if "deltas" in kwargs:
-            kwargs["deltas"] = tuple(float(v) for v in kwargs["deltas"])
-        if "region" in kwargs:
-            kwargs["region"] = Region(*[float(v) for v in kwargs["region"]])
-        if "grid" in kwargs:
-            kwargs["grid"] = GridSpec(*kwargs["grid"])
-        return cls(**kwargs)
 
 
 @dataclass

@@ -27,7 +27,6 @@ verdict.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import re
 import sys
@@ -72,13 +71,13 @@ DEFAULT_VERIFY_THRESHOLD = 0.05  # relative: fd truncation of exact
                                  # a smooth 4.5% error, an odd-even pattern
 _WINDOW = ",".join(f"{v:g}" for v in REFERENCE_WINDOW.as_tuple())
 
-_NUMBERISH = re.compile(r"^-[0-9.][0-9.,eE+-]*$")
+_NUMBERISH = re.compile(r"^-([0-9.]|inf|nan)[0-9a-z.,+-]*$", re.IGNORECASE)
 _VALUE_OPTS = {"--region", "--grid", "--deltas", "--delta", "--threshold"}
 
 
 def _merge_negative_values(argv):
-    """Let option values that start with a minus sign (regions, deltas)
-    parse without requiring the --opt=value form."""
+    """Let option values that start with a minus sign (regions, deltas,
+    -inf and -nan) parse without requiring the --opt=value form."""
     out = []
     i = 0
     while i < len(argv):
@@ -234,11 +233,6 @@ def cmd_beltrami(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    cfg = bench_mod.BenchConfig()
-    if args.config:
-        with open(args.config) as fh:
-            cfg = bench_mod.BenchConfig.from_dict(json.load(fh))
-    # flags given override the file's config, or the BenchConfig defaults
     given = {"f0": args.f0, "repetitions": args.repetitions,
              "include_beltrami": args.beltrami}
     if args.deltas is not None:
@@ -247,8 +241,7 @@ def cmd_bench(args) -> int:
         given["region"] = _parse_region(args.region)
     if args.grid is not None:
         given["grid"] = _parse_grid(args.grid)
-    cfg = dataclasses.replace(
-        cfg, **{k: v for k, v in given.items() if v is not None})
+    cfg = bench_mod.BenchConfig(**{k: v for k, v in given.items() if v is not None})
     report = bench_mod.run_benchmark(cfg)
     _emit_report(args, report.to_dict(), report.to_csv())
     return 0  # divergent baseline rows are data, not failures
@@ -257,8 +250,17 @@ def cmd_bench(args) -> int:
 # ---------------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """Exits 1 on a usage error, like any other bad argument, so that 2
+    stays the negative verdict; subparsers are built of this class too."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rigidpde",
         description=("Analyze planar first-order elliptic systems, detect "
                      "transport rigidity, solve rigid systems by "
@@ -275,12 +277,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="coefficient table CSV with header x,y,alpha,beta")
 
     def add_output(p, func):
-        p.add_argument("--json", dest="json", action="store_true",
+        p.add_argument("--json", action="store_true",
                        help="emit JSON instead of CSV")
-        p.add_argument("--csv", dest="json", action="store_false",
-                       help="emit CSV (default)")
         p.add_argument("--out", default=None, help="output path (default stdout)")
-        p.set_defaults(func=func, json=False)
+        p.set_defaults(func=func)
 
     p = sub.add_parser("analyze", help="scan a field over a rectangle")
     add_source(p)
@@ -320,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_beltrami)
 
     p = sub.add_parser("bench", help="delta sweep cost report")
-    p.add_argument("--config", default=None, help="JSON config file")
     # unset flags (None) keep the BenchConfig defaults
     for opt in ("--deltas", "--region", "--grid", "--f0"):
         p.add_argument(opt)

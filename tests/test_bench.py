@@ -8,7 +8,6 @@ from rigidpde.beltrami import delta_sweep
 from rigidpde.bench import (
     CSV_HEADER,
     SCAN_NOMINAL,
-    _CONFIG_TYPES,
     BenchConfig,
     BenchReport,
     BenchRow,
@@ -44,22 +43,21 @@ def test_config_validation():
 
 
 def test_config_dict_roundtrip():
-    cfg = small_config(f0="lpow:2", include_beltrami=True)
-    again = BenchConfig.from_dict(cfg.to_dict())
-    assert again.deltas == cfg.deltas
-    assert again.grid == cfg.grid
-    assert again.f0 == "lpow:2"
-    assert again.include_beltrami is True
-    # every field set away from its default survives the round trip,
-    # through JSON text too
+    # every field, set away from its default, is recorded as a plain JSON
+    # value in field order, and survives JSON text unchanged
     cfg = BenchConfig(deltas=(0.5, 1e-3), region=Region(-0.25, 0.5, -0.5, 0.75),
                       grid=GridSpec(33, 17), f0="exp:0.5+0.5i,0",
                       repetitions=4, include_beltrami=True)
     defaults = BenchConfig()
     assert all(getattr(cfg, f.name) != getattr(defaults, f.name)
                for f in dataclasses.fields(BenchConfig))
-    assert BenchConfig.from_dict(cfg.to_dict()) == cfg
-    assert BenchConfig.from_dict(json.loads(json.dumps(cfg.to_dict()))) == cfg
+    expected = {"deltas": [0.5, 1e-3], "region": [-0.25, 0.5, -0.5, 0.75],
+                "grid": [33, 17], "f0": "exp:0.5+0.5i,0", "repetitions": 4,
+                "include_beltrami": True}
+    assert cfg.to_dict() == expected
+    text = json.dumps(cfg.to_dict())
+    assert text == json.dumps(expected)
+    assert json.loads(text) == expected
 
 
 def test_run_benchmark_rows_and_cross_module_kappa():
@@ -96,19 +94,6 @@ def test_benchmark_with_beltrami_columns():
         (trace.iterations, trace.verdict)
 
 
-def test_config_from_dict_names_unknown_keys():
-    # a typo, and a field that configs could set before the baseline was fixed
-    for key in ("beltrami_tl", "beltrami_tol"):
-        with pytest.raises(ValueError, match=f"unknown bench config keys: {key}$"):
-            BenchConfig.from_dict({"deltas": [1.0], key: 1e-3})
-    with pytest.raises(ValueError, match="must be a JSON object"):
-        BenchConfig.from_dict([1.0])
-
-
-def test_every_config_field_has_a_json_type():
-    assert list(_CONFIG_TYPES) == [f.name for f in dataclasses.fields(BenchConfig)]
-
-
 def test_emit_csv_header_and_na_cells():
     report = BenchReport(config={}, rows=[
         BenchRow(delta=1.0, kappa=18.0, char_time_s=0.001,
@@ -130,7 +115,7 @@ def test_json_roundtrip_is_lossless():
 
 def test_per_row_failures_are_recorded():
     # a region outside the table's domain cannot occur for the built-in
-    # family, but a nonsensical f0 power fails at config parse time;
+    # family, and a malformed f0 fails in run_benchmark before any row;
     # per-row capture is exercised through an f0 whose exp overflows, which
     # the solve rejects naming w and its first bad node, without a warning
     cfg = small_config(deltas=(1.0,), f0="exp:1e308,0")

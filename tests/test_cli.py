@@ -1,4 +1,5 @@
 import argparse
+import dataclasses
 import hashlib
 import json
 import re
@@ -246,12 +247,6 @@ def test_table1_kappa_delta_scaling(capsys):
     # in the asymptotic rows kappa*delta**2 is constant to ~10%
     scaled = kappas[1:] * deltas[1:] ** 2
     assert scaled.max() / scaled.min() < 1.1
-
-
-def test_csv_flag_is_accepted(capsys):
-    code, out, _ = run(capsys, "table1", "--grid", "101,101", "--csv")
-    assert code == 0
-    assert out.splitlines()[0] == "delta,inf_mu,sup_mu,kappa"
 
 
 def test_solve_writes_only_the_declared_files(tmp_path, capsys, monkeypatch):
@@ -693,19 +688,6 @@ def test_bench_csv_header_and_na(capsys):
     assert all(line.endswith(",NA,NA") for line in lines[1:])
 
 
-def test_bench_config_file(tmp_path, capsys):
-    cfg = {"deltas": [1.0], "region": [-0.5, 1, -1, 1], "grid": [64, 64],
-           "f0": "lpow:2", "repetitions": 3, "include_beltrami": False}
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps(cfg))
-    code, out, _ = run(capsys, "bench", "--config", str(path), "--json")
-    assert code == 0
-    assert out.endswith("}\n")  # like every other report
-    report = json.loads(out)
-    assert report["config"]["f0"] == "lpow:2"
-    assert report["rows"][0]["error"] is None
-
-
 def test_bench_records_a_row_that_fails_and_goes_on(capsys):
     # at delta = 1e-310 the solve works but 1/b overflows in to_real_pair
     argv = ["bench", "--deltas", "1e-310,1", "--grid", "16,16",
@@ -722,41 +704,12 @@ def test_bench_records_a_row_that_fails_and_goes_on(capsys):
     assert re.fullmatch(r"1e-310,NA,\S+,NA,NA,NA", out.splitlines()[1])
 
 
-def test_bench_config_file_with_a_removed_key_exits_1(tmp_path, capsys):
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps({"deltas": [1.0], "beltrami_tol": 1e-8}))
-    code, out, err = run(capsys, "bench", "--config", str(path))
-    assert code == 1 and out == ""
-    assert "unknown bench config keys: beltrami_tol" in err
-
-
-@pytest.mark.parametrize("key, value, what", [
-    ("region", [0, 1, 2], "4 numbers"),
-    ("deltas", 1.0, "a list of numbers"),
-    ("repetitions", "5", "an integer"),
-    ("f0", 3, "a string"),
-    ("include_beltrami", "no", "a boolean"),
-    ("grid", [64.0, 64], "2 integers"),
-])
-def test_bench_config_value_of_the_wrong_json_type_exits_1(tmp_path, capsys,
-                                                           key, value, what):
-    # each used to end in a traceback, and "no" ran the baseline
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps({key: value}))
-    code, out, err = run(capsys, "bench", "--config", str(path))
-    assert code == 1 and out == ""
-    assert err == f"error: bench config {key} must be {what}, got {value!r}\n"
-
-
-def test_bench_rejects_a_delta_that_is_not_finite_and_positive(tmp_path, capsys):
+def test_bench_rejects_a_delta_that_is_not_finite_and_positive(capsys):
     # NaN passed `d <= 0` and every row read NA, with exit status 0
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps({"deltas": [float("nan")]}))  # JSON NaN
-    for argv in (["--deltas", "nan,1", "--grid", "16,16", "--repetitions", "3"],
-                 ["--config", str(path)]):
-        code, out, err = run(capsys, "bench", *argv)
-        assert code == 1 and out == ""
-        assert err == "error: delta must be finite and > 0, got nan\n"
+    code, out, err = run(capsys, "bench", "--deltas", "nan,1", "--grid", "16,16",
+                         "--repetitions", "3")
+    assert code == 1 and out == ""
+    assert err == "error: delta must be finite and > 0, got nan\n"
 
 
 def test_bench_flags_override_only_what_they_set(monkeypatch, capsys):
@@ -776,27 +729,49 @@ def test_bench_flags_override_only_what_they_set(monkeypatch, capsys):
         include_beltrami=True)
 
 
-def test_bench_flags_override_the_config_file(tmp_path, monkeypatch, capsys):
+# each BenchConfig field, the bench flag that sets it, and a value away
+# from the default
+BENCH_FLAGS = {
+    "deltas": ["--deltas", "1"],
+    "region": ["--region", "-0.25,0.5,-0.5,0.5"],
+    "grid": ["--grid", "16,16"],
+    "f0": ["--f0", "lpow:2"],
+    "repetitions": ["--repetitions", "3"],
+    "include_beltrami": ["--beltrami"],
+}
+
+
+def test_each_bench_config_field_has_exactly_one_flag(monkeypatch, capsys):
+    names = [f.name for f in dataclasses.fields(bench_mod.BenchConfig)]
+    assert list(BENCH_FLAGS) == names
+    assert {argv[0] for argv in BENCH_FLAGS.values()} == \
+        set(OPTION_CENSUS["bench"]) - {"--json", "--out"}
     seen = []
 
     def fake_run(cfg):
         seen.append(cfg)
         return bench_mod.BenchReport(config=cfg.to_dict())
 
-    monkeypatch.setattr(bench_mod, "run_benchmark", fake_run)
-    file_cfg = bench_mod.BenchConfig(deltas=(1.0, 0.5), grid=GridSpec(64, 64),
-                                     repetitions=3)
-    path = tmp_path / "bench.json"
-    path.write_text(json.dumps(file_cfg.to_dict()))
-    assert run(capsys, "bench", "--config", str(path))[0] == 0
-    assert seen[-1] == file_cfg
-    assert run(capsys, "bench", "--config", str(path), "--repetitions", "9",
-               "--f0", "lpow:2", "--deltas", "1e-3")[0] == 0
-    assert seen[-1] == bench_mod.BenchConfig(
-        deltas=(1e-3,), grid=GridSpec(64, 64), f0="lpow:2", repetitions=9)
+    # each flag alone moves its own field and no other
+    default = bench_mod.BenchConfig()
+    with monkeypatch.context() as m:
+        m.setattr(bench_mod, "run_benchmark", fake_run)
+        for name, argv in BENCH_FLAGS.items():
+            assert run(capsys, "bench", *argv)[0] == 0
+            assert [n for n in names
+                    if getattr(seen[-1], n) != getattr(default, n)] == [name]
+    # all six at once, run for real, are recorded in the report's config
+    code, out, _ = run(capsys, "bench", *sum(BENCH_FLAGS.values(), []), "--json")
+    assert code == 0 and out.endswith("}\n")  # like every other report
+    report = json.loads(out)
+    assert report["config"] == {
+        "deltas": [1.0], "region": [-0.25, 0.5, -0.5, 0.5], "grid": [16, 16],
+        "f0": "lpow:2", "repetitions": 3, "include_beltrami": True}
+    (row,) = report["rows"]
+    assert row["error"] is None and row["beltrami_verdict"] == "converged"
 
 
-def test_negative_value_tokens_parse_without_equals():
+def test_negative_value_tokens_parse_without_equals(capsys):
     # "--region -0.5,1,-1,1" as separate tokens must not be read as a flag
     from rigidpde.cli import _merge_negative_values
     merged = _merge_negative_values(
@@ -804,6 +779,42 @@ def test_negative_value_tokens_parse_without_equals():
     assert "--region=-0.5,1,-1,1" in merged
     # unrelated tokens pass through untouched
     assert _merge_negative_values(["solve", "--out", "-"]) == ["solve", "--out", "-"]
+    # a negative non-finite value merges too, in any spelling float() reads,
+    # so the error names the value, not "expected one argument"
+    for value in ("-inf", "-nan", "-Infinity", "-NaN"):
+        assert _merge_negative_values(["--delta", value]) == [f"--delta={value}"]
+        code, out, err = run(capsys, "analyze", "--delta", value)
+        assert code == 1 and out == ""
+        assert err == f"error: delta must be finite and > 0, got {float(value)}\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["analyze", "--delta", "1e-3", "--grd", "201,201"],
+     "rigidpde: error: unrecognized arguments: --grd 201,201"),
+    (["analyze", "--delta", "abc"],
+     "rigidpde analyze: error: argument --delta: invalid float value: 'abc'"),
+    (["bench", "--repetitions", "x"],
+     "rigidpde bench: error: argument --repetitions: invalid int value: 'x'"),
+    (["table1", "--csv"], "rigidpde: error: unrecognized arguments: --csv"),
+    ([], "rigidpde: error: the following arguments are required: command"),
+], ids=["typo", "bad-float", "bad-int", "retired-csv", "no-command"])
+def test_usage_errors_exit_1_not_the_verdict_code(capsys, argv, message):
+    # 2 is the negative verdict (analyze: not elliptic, verify: FAIL); a
+    # typo is a bad argument, which exits 1 with argparse's own message
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: rigidpde")
+    assert err.endswith(message + "\n")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["--version"], ["bench", "--help"]])
+def test_help_and_version_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert capsys.readouterr().out
 
 
 # --- option census -----------------------------------------------------------
@@ -811,13 +822,13 @@ def test_negative_value_tokens_parse_without_equals():
 # line); adding or removing one means editing this census on purpose.
 OPTION_CENSUS = {
     "analyze": ["--delta", "--field-csv", "--region", "--grid", "--json",
-                "--csv", "--out"],
-    "table1": ["--grid", "--json", "--csv", "--out"],
+                "--out"],
+    "table1": ["--grid", "--json", "--out"],
     "solve": ["--delta", "--f0", "--region", "--grid", "--out"],
     "verify": ["--delta", "--field-csv", "--uv-csv", "--w-csv", "--threshold"],
     "beltrami": ["--delta", "--n", "--max-iter", "--out"],
-    "bench": ["--config", "--deltas", "--region", "--grid", "--f0",
-              "--repetitions", "--beltrami", "--json", "--csv", "--out"],
+    "bench": ["--deltas", "--region", "--grid", "--f0", "--repetitions",
+              "--beltrami", "--json", "--out"],
 }
 
 
@@ -832,7 +843,7 @@ def test_cli_options_match_the_census():
                   if o not in ("-h", "--help")]
            for name, p in _subparsers().items()}
     assert got == OPTION_CENSUS
-    assert sum(map(len, got.values())) == 35
+    assert sum(map(len, got.values())) == 31
 
 
 def test_value_opts_are_value_taking_options():
