@@ -181,7 +181,7 @@ def row_blocks(nx: int, ny: int):
 
 # glibc serves an allocation above its mmap threshold with a fresh mapping,
 # which the kernel zero-fills on first touch and unmaps when it is freed.
-# Both thresholds are raised above a solve_large op's grids (about 540 MB),
+# Both thresholds are raised above a solve_large op's grids (about 400 MB),
 # so grids come from the heap and a freed one is reused by the next kernel;
 # a process then keeps up to this much freed heap resident.
 HEAP_KEEP_BYTES = 1 << 30

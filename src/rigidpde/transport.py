@@ -10,6 +10,9 @@ initial profile on the line x = 0.  The identification is invertible
 directions and their residual checks live here.  Analytic partials
 travel one way only: the solver's wx, wy become the partials of (u, v)
 for the analytic system residual, while (u, v) -> w carries values.
+The partials of (u, v) are never stored: ``to_real_pair`` hands the pair
+a function that derives one row block of them from w's Im(w), wx and wy,
+which the pair keeps alive, and the residual calls it inside its blocks.
 
 The solve, both identifications, both residuals and the solution fields'
 finiteness check work through their grids by cache-sized row blocks, on
@@ -24,7 +27,9 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 
 import numpy as np
 
@@ -198,11 +203,19 @@ class _GridField:
     xs: np.ndarray
     ys: np.ndarray
 
-    def _check_grids(self, **grids):
+    def _check_shapes(self, grids, count=None):
+        """Reject grids (``count`` of them, when given) that are not of the
+        node shape (ny, nx)."""
         shape = (self.ys.size, self.xs.size)
-        if any(g.shape != shape for g in grids.values()):
-            shapes = "/".join(str(g.shape) for g in grids.values())
-            raise ValueError(f"grid shapes {shapes} do not match {shape}")
+        shapes = [np.shape(g) for g in grids]
+        if (count is not None and len(shapes) != count) or any(
+                s != shape for s in shapes):
+            want = "/".join([str(shape)] * (count or 1))
+            got = "/".join(str(s) for s in shapes)
+            raise ValueError(f"grid shapes {got} do not match {want}")
+
+    def _check_grids(self, **grids):
+        self._check_shapes(grids.values())
         map_row_blocks(self.xs.size, self.ys.size, lambda s: _raise_non_finite(
             self.xs[None, :], self.ys[s, None], [(k, g[s]) for k, g in grids.items()]))
 
@@ -227,6 +240,8 @@ class ComplexField(_GridField):
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
+        # shape only: a NaN partial reaches the residual maxima
+        self._check_shapes([g for g in (self.wx, self.wy) if g is not None])
         self._check_grids(w=self.values)
 
     @property
@@ -236,15 +251,36 @@ class ComplexField(_GridField):
 
 @dataclass
 class RealPairField(_GridField):
-    """Real solution pair (u, v) sampled on a grid, optionally with the
-    four analytic partial grids (ux, uy, vx, vy)."""
+    """Real solution pair (u, v) sampled on a grid, optionally with its
+    analytic partials.
+
+    ``partials`` maps a slice of grid rows (a block, as from
+    fields.row_blocks) to those rows of (ux, uy, vx, vy); the analytic
+    system residual calls it once per block, so no whole partial grid need
+    exist.  The pair ``to_real_pair`` returns derives them from w's Im(w),
+    wx and wy, which it keeps alive and reads at residual time.  Four
+    (ny, nx) grids may be given instead; their shapes are checked (not
+    their values) and they are wrapped once as such a function.
+    """
 
     u: np.ndarray
     v: np.ndarray
-    partials: tuple | None = None  # (ux, uy, vx, vy)
+    partials: Callable[[slice], tuple] | tuple | None = None
 
     def __post_init__(self):
+        if self.partials is not None and not callable(self.partials):
+            try:
+                grids = tuple(self.partials)
+            except TypeError:  # a scalar is one grid of shape ()
+                grids = (self.partials,)
+            self._check_shapes(grids, count=4)
+            self.partials = partial(_rows_of, grids)
         self._check_grids(u=self.u, v=self.v)
+
+
+def _rows_of(grids, s):
+    """Rows ``s`` of each of the grids."""
+    return tuple(g[s] for g in grids)
 
 
 def solve_characteristic(
@@ -307,8 +343,10 @@ def from_real_pair(fam: DeltaFamily, uv: RealPairField) -> ComplexField:
 
 
 def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
-    """Inverse identification u = Re(w) - (a/b)*Im(w), v = Im(w)/b, and
-    the partials of (u, v) when w has them, by row blocks.
+    """Inverse identification u = Re(w) - (a/b)*Im(w), v = Im(w)/b, by row
+    blocks.  When w has partials, the pair's ``partials`` derives the rows
+    of (ux, uy, vx, vy) from Im(w), wx and wy when asked (see
+    _pair_partial_rows); no partial grid is formed here.
 
     Requires delta > 0 (enforced at DeltaFamily construction) so that
     b = delta/(1+x) never vanishes.
@@ -316,8 +354,6 @@ def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
     xs, ys = w.xs, w.ys
     shape = w.values.shape
     u, v = np.empty(shape), np.empty(shape)
-    partials = (tuple(np.empty(shape) for _ in range(4)) if w.has_partials
-                else None)
 
     def block(s):
         p, q = w.values.real[s], w.values.imag[s]
@@ -326,31 +362,40 @@ def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
         np.multiply(ratio, q, out=u[s])
         np.subtract(p, u[s], out=u[s])
         np.divide(q, b, out=v[s])
-        if partials is None:
-            return
-        ux, uy, vx, vy = (g[s] for g in partials)
-        inv_delta = 1.0 / fam.delta  # overflows at a subnormal delta
-        px, qx = w.wx.real[s], w.wx.imag[s]
-        py, qy = w.wy.real[s], w.wy.imag[s]
-        # d(a/b)/dx = 0 and d(a/b)/dy = 1/delta; 1/b = (1+x)/delta:
-        # ux = px - ratio*qx, uy = (py - q*inv_delta) - ratio*qy,
-        # vx = (q + (1+x)*qx)*inv_delta, vy = ((1+x)*qy)*inv_delta
-        np.multiply(ratio, qx, out=ux)
-        np.subtract(px, ux, out=ux)
-        np.multiply(q, inv_delta, out=uy)
-        np.subtract(py, uy, out=uy)
-        ratio *= qy
-        uy -= ratio
-        np.multiply(one_x, qx, out=vx)
-        vx += q
-        vx *= inv_delta
-        np.multiply(one_x, qy, out=vy)
-        vy *= inv_delta
-    one_x = 1.0 + xs[None, :]
-    inv = 1.0 / one_x
+    inv = 1.0 / (1.0 + xs[None, :])
     b = fam.delta * inv
     map_row_blocks(xs.size, ys.size, block)
+    partials = (partial(_pair_partial_rows, fam.delta, xs, ys, w.values.imag,
+                        w.wx, w.wy) if w.has_partials else None)
     return RealPairField(xs, ys, u, v, partials=partials)
+
+
+def _pair_partial_rows(delta, xs, ys, q, wx, wy, s):
+    """Rows ``s`` of the partials (ux, uy, vx, vy) of the pair to_real_pair
+    forms from w, given q = Im(w) and w's partial grids wx, wy."""
+    one_x = 1.0 + xs[None, :]
+    inv = 1.0 / one_x
+    ratio = ys[s, None] * inv  # a
+    ratio /= delta * inv  # a/b, as in to_real_pair
+    inv_delta = 1.0 / delta  # overflows at a subnormal delta
+    q = q[s]
+    px, qx = wx.real[s], wx.imag[s]
+    py, qy = wy.real[s], wy.imag[s]
+    # d(a/b)/dx = 0 and d(a/b)/dy = 1/delta; 1/b = (1+x)/delta:
+    # ux = px - ratio*qx, uy = (py - q*inv_delta) - ratio*qy,
+    # vx = (q + (1+x)*qx)*inv_delta, vy = ((1+x)*qy)*inv_delta
+    ux = ratio * qx
+    np.subtract(px, ux, out=ux)
+    uy = q * inv_delta
+    np.subtract(py, uy, out=uy)
+    ratio *= qy
+    uy -= ratio
+    vx = one_x * qx
+    vx += q
+    vx *= inv_delta
+    vy = one_x * qy
+    vy *= inv_delta
+    return ux, uy, vx, vy
 
 
 # ---------------------------------------------------------------------------
@@ -398,13 +443,16 @@ def _relative(max_res: float, sizes) -> float:
 def _residual_partials(mode, xs, ys, grids, partials):
     """Axes and steps a residual is formed on, and a function giving the
     partial grids on one block of its rows (a slice, as from
-    fields.row_blocks): in analytic mode those rows of the given
-    ``partials``; in fd mode d/dx and d/dy of each of ``grids`` by central
+    fields.row_blocks): in analytic mode the given ``partials`` function
+    of a slice; in fd mode d/dx and d/dy of each of ``grids`` by central
     differences, on the interior axes (a one-node rim excluded)."""
     if mode == "analytic":
         if partials is None:
             raise ValueError("analytic mode needs a field carrying partial grids")
-        return xs, ys, None, None, lambda s: [p[s] for p in partials]
+        if xs.size == 0 or ys.size == 0:
+            raise ValueError(f"grid {(ys.size, xs.size)} has no node to "
+                             "take a residual at")
+        return xs, ys, None, None, partials
     if mode != "fd":
         raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
     if ys.size <= 2 or xs.size <= 2:
@@ -441,9 +489,9 @@ def system_residual(
     r2 = v_x + u_y - beta*v_y on the grid of ``uv``.
 
     mode="fd" uses central differences of the stored grids (a one-node
-    rim is excluded); mode="analytic" requires
-    the field to carry closed-form partial grids.  Both work one block of
-    rows at a time (see fields.row_blocks); NaN propagates to the maxima.
+    rim is excluded); mode="analytic" requires the pair to carry analytic
+    partials (see RealPairField).  Both work one block of rows at a time
+    (see fields.row_blocks); NaN propagates to the maxima.
 
     In fd mode the report's ``relative`` is the larger of max|r1| and
     max|r2|, each over the largest maximum of the terms it cancels: u_x
@@ -508,7 +556,7 @@ def transport_residual(
     """
     xs, ys, hx, hy, partials_of = _residual_partials(
         mode, w.xs, w.ys, [w.values],
-        (w.wx, w.wy) if w.has_partials else None)
+        partial(_rows_of, (w.wx, w.wy)) if w.has_partials else None)
     r1 = np.empty((ys.size, xs.size), dtype=complex)
     fd = mode == "fd"
 

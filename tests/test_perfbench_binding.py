@@ -2,7 +2,8 @@
 
 perfbench/ imports names from rigidpde and routes the cli module's calls
 through its own span wrappers; this checks those names and routes without
-running a timed op (except one small roundtrip_io op).
+running a timed op (except one small roundtrip_io op and a solve_large
+op on a small grid).
 """
 
 import pathlib
@@ -75,3 +76,23 @@ def test_roundtrip_io_op_verifies_through_the_traced_routes(bench, tmp_path):
         workloads.OK, workloads.DEFECT_VERIFY_THRESHOLD)
     names = {span["name"] for span in tracer.spans}
     assert {"cli.verify", "transport.transport_residual"} <= names
+
+
+@pytest.mark.parametrize("traced", [False, True])
+def test_solve_large_op_checks_through_both_layers(bench, tmp_path, traced):
+    # the op's analytic residual asks (u, v) for its partials block by
+    # block, through the traced field and the traced wrappers too
+    workloads, tracing = bench
+    tracer = tracing.Tracer() if traced else None
+    wl = workloads.WORKLOADS["solve_large"](1001, str(tmp_path),
+                                           workloads.Layers(tracer))
+    wl.grid = GridSpec(65, 65)
+    op = wl.params(0)
+    result = wl.run(op)
+    assert wl.check(op, result, first=True) == workloads.OK
+    if traced:
+        spans = {span["name"]: span for span in tracer.spans}
+        assert {"transport.solve", "transport.to_real_pair",
+                "transport.system_residual_analytic",
+                "fields.values"} <= spans.keys()
+        assert spans["transport.solve"]["bytes"] == 3 * 16 * 65 * 65

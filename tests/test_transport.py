@@ -322,6 +322,37 @@ def test_solution_grids_must_match_the_axes():
         RealPairField(xs, ys, np.zeros((2, 3)), np.zeros((3, 2)))
 
 
+def test_partial_grids_must_match_the_axes():
+    # unchecked, a partial grid of one row would be broadcast over every
+    # row of a residual, and three or scalar partials would fail to unpack;
+    # shapes are checked, values are not
+    fam = DeltaFamily(0.5)
+    w = solve_characteristic(fam, LambdaPower(2), K, GridSpec(5, 4))
+    xs, ys, grid, row = w.xs, w.ys, np.zeros((4, 5)), np.zeros((1, 5))
+    with pytest.raises(ValueError,
+                       match=r"^grid shapes \(4, 5\)/\(1, 5\) do not match \(4, 5\)$"):
+        ComplexField(xs, ys, w.values, wx=w.wx, wy=w.wy[:1])
+    with pytest.raises(ValueError,
+                       match=r"^grid shapes \(1, 5\) do not match \(4, 5\)$"):
+        ComplexField(xs, ys, w.values, wx=w.wx[:1])
+    four = r"\(4, 5\)/\(4, 5\)/\(4, 5\)/\(4, 5\)"
+    for partials, got in [((grid, row, grid, grid), r"\(4, 5\)/\(1, 5\)/\(4, 5\)/\(4, 5\)"),
+                          ((grid,) * 3, r"\(4, 5\)/\(4, 5\)/\(4, 5\)"),
+                          ((grid,) * 5, four + r"/\(4, 5\)"),
+                          (0.0, r"\(\)")]:
+        with pytest.raises(ValueError, match=rf"^grid shapes {got} do not match {four}$"):
+            RealPairField(xs, ys, grid, grid, partials=partials)
+    # NaN partials build, and reach the maxima
+    nan = np.full((4, 5), np.nan)
+    pair = RealPairField(xs, ys, grid, grid, partials=[grid, grid, grid, nan])
+    rep = system_residual(DeltaField(fam), pair, mode="analytic")
+    assert np.isnan(rep.max_r1) and np.isnan(rep.max_r2)
+    rep = transport_residual(DeltaField(fam),
+                             ComplexField(xs, ys, w.values, wx=w.wx, wy=nan + 0j),
+                             mode="analytic")
+    assert np.isnan(rep.max_r1)
+
+
 def test_residuals_reject_what_they_cannot_difference():
     fam = DeltaFamily(0.5)
     field = DeltaField(fam)
@@ -565,6 +596,14 @@ def ref_from_real_pair(fam, uv):
     return ComplexField(uv.xs, uv.ys, (uv.u + a * uv.v) + 1j * (b * uv.v))
 
 
+def partial_grids(uv):
+    """Whole (ux, uy, vx, vy) grids of a pair, assembled from the rows its
+    ``partials`` gives for each block of fields.row_blocks (on the pool,
+    as the analytic residual asks for them)."""
+    blocks = fields.map_row_blocks(uv.xs.size, uv.ys.size, uv.partials)
+    return [np.concatenate(rows) for rows in zip(*blocks)]
+
+
 def ref_system_residual(field, xs, ys, ux, uy, vx, vy):
     alpha, beta = field.values(*np.meshgrid(xs, ys))
     return ux - alpha * vy, vx + uy - beta * vy
@@ -610,7 +649,8 @@ def check_against_reference(fam, f0, region, grid):
     assert_bits(uv.u, chained.u)
     assert_bits(uv.v, chained.v)
     uv_ref = ref_to_real_pair(fam, w)
-    for got, want in zip(uv.partials, uv_ref.partials):
+    for got, want in zip(partial_grids(uv), partial_grids(uv_ref),
+                         strict=True):
         assert_ulps(got, want)
 
     w2 = from_real_pair(fam, uv)
@@ -619,7 +659,7 @@ def check_against_reference(fam, f0, region, grid):
     np.testing.assert_array_equal(w2.values, w2_ref.values)
 
     rep = system_residual(field, uv, mode="analytic")
-    r1, r2 = ref_system_residual(field, uv.xs, uv.ys, *uv.partials)
+    r1, r2 = ref_system_residual(field, uv.xs, uv.ys, *partial_grids(uv))
     assert_ulps(rep.r1, r1)
     assert_ulps(rep.r2, r2)
     assert rep.max_r1 == np.abs(r1).max() and rep.max_r2 == np.abs(r2).max()
@@ -713,7 +753,7 @@ def pipeline(fam, f0, region, grid):
     fd = system_residual(field, uv, mode="fd")
     tr = transport_residual(field, w, mode="analytic")
     tr_fd = transport_residual(field, w2, mode="fd")
-    grids = [w.values, w.wx, w.wy, uv.u, uv.v, *uv.partials, w2.values,
+    grids = [w.values, w.wx, w.wy, uv.u, uv.v, *partial_grids(uv), w2.values,
              rep.r1, rep.r2, fd.r1, fd.r2, tr.r1, tr_fd.r1]
     return grids, (rep.max_r1, rep.max_r2, fd.max_r1, fd.max_r2, fd.relative,
                    tr.max_r1, tr_fd.max_r1, tr_fd.relative)
@@ -755,11 +795,10 @@ def test_kernels_independent_of_block_size_property():
 
 def test_residual_maxima_keep_nan_across_blocks():
     fam = DeltaFamily(0.5)
-    uv = to_real_pair(fam, solve_characteristic(fam, LambdaPower(2), K,
-                                                GridSpec(7, 9)))
-    uv.partials[3][4, 2] = np.nan  # v_y in row 4; finite rows follow it
     w = solve_characteristic(fam, LambdaPower(2), K, GridSpec(7, 9))
-    w.wy[4, 2] = np.nan
+    uv = to_real_pair(fam, w)  # its partials read w's wx, wy when asked
+    qy = w.wy.imag[4, 2]
+    w.wy.imag[4, 2] = np.nan  # v_y (and u_y) in row 4; finite rows follow it
     for rows in (1, 2, 4, 9):
         rep = in_blocks(rows, 7, system_residual, DeltaField(fam), uv,
                         mode="analytic")
@@ -773,9 +812,10 @@ def test_residual_maxima_keep_nan_across_blocks():
         rep = in_blocks(rows, 5, system_residual, DeltaField(fam), uv, mode="fd")
         assert np.isnan(rep.max_r1) and np.isnan(rep.max_r2)
         assert np.isnan(rep.relative)
-    # a NaN u_y leaves r1 finite and r2 NaN, which max_residual keeps
-    uv.partials[3][4, 2] = 0.0
-    uv.partials[1][4, 2] = np.nan
+    # a NaN w_y.real reaches u_y only: r1 stays finite and r2 is NaN,
+    # which max_residual keeps
+    w.wy.imag[4, 2] = qy
+    w.wy.real[4, 2] = np.nan
     rep = system_residual(DeltaField(fam), uv, mode="analytic")
     assert np.isfinite(rep.max_r1) and np.isnan(rep.max_residual)
 
@@ -993,6 +1033,22 @@ def test_fd_residuals_reject_an_empty_field(shape):
         transport_residual(field, ComplexField(xs, ys, np.empty(shape, complex)))
 
 
+@pytest.mark.parametrize("residual", ["system", "transport"])
+@pytest.mark.parametrize("shape", [(0, 0), (0, 3), (3, 0)])
+def test_analytic_residuals_reject_an_empty_field(shape, residual):
+    ny, nx = shape
+    fam = DeltaFamily(0.5)
+    xs, ys = np.linspace(0.0, 1.0, nx), np.linspace(0.0, 1.0, ny)
+    empty = np.empty(shape, complex)
+    w = ComplexField(xs, ys, empty, wx=empty, wy=empty)
+    with pytest.raises(ValueError, match=(
+            rf"^grid \({ny}, {nx}\) has no node to take a residual at$")):
+        if residual == "system":
+            system_residual(DeltaField(fam), to_real_pair(fam, w), mode="analytic")
+        else:
+            transport_residual(DeltaField(fam), w, mode="analytic")
+
+
 # The engine's first call in a process raises glibc's mmap and trim
 # thresholds (fields._keep_freed_grids), so a freed grid stays on the heap
 # for the next kernel instead of being unmapped and zero-filled anew.  The
@@ -1162,11 +1218,11 @@ def test_kernel_memory_is_outputs_plus_blocks(monkeypatch):
     w, used = peak(solve_characteristic, fam, f0, K, grid)
     assert used <= 3 * 16 * nodes + budget  # w, wx, wy
     uv, used = peak(to_real_pair, fam, w)
-    assert used <= 6 * 8 * nodes + budget   # u, v and four partials
+    assert used <= 2 * 8 * nodes + budget   # u, v: no partial grid
     _, used = peak(from_real_pair, fam, uv)
     assert used <= 16 * nodes + budget
     _, used = peak(system_residual, DeltaField(fam), uv, mode="analytic")
-    assert used <= 2 * 8 * nodes + budget   # r1, r2
+    assert used <= 2 * 8 * nodes + budget   # r1, r2; partials by blocks
     _, used = peak(transport_residual, DeltaField(fam), w, mode="analytic")
     assert used <= 16 * nodes + budget      # r1
     # fd mode differences one block of rows at a time as well
