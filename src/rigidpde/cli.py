@@ -126,13 +126,8 @@ def _fail(message: str) -> int:
 
 
 def _load_field(args):
-    if getattr(args, "delta", None) is not None:
-        if getattr(args, "field_csv", None):
-            raise ValueError("give either --delta or --field-csv, not both")
-        return DeltaField(DeltaFamily(args.delta))
-    if getattr(args, "field_csv", None):
-        return GridTableField.from_csv(args.field_csv)
-    raise ValueError("one coefficient source is required: --delta or --field-csv")
+    return (DeltaField(DeltaFamily(args.delta)) if args.delta is not None
+            else GridTableField.from_csv(args.field_csv))
 
 
 # ---------------------------------------------------------------------------
@@ -182,13 +177,11 @@ def cmd_solve(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    if (args.uv_csv is None) == (args.w_csv is None):
-        return _fail("give exactly one of --uv-csv or --w-csv")
     if not 0.0 < args.threshold < float("inf"):
         return _fail(f"threshold must be finite and > 0, got {args.threshold}")
     field = _load_field(args)
 
-    if args.uv_csv:
+    if args.uv_csv is not None:
         uv = read_real_pair_csv(args.uv_csv)
         report = system_residual(field, uv, mode="fd")
         print(f"mode: fd (hx={report.hx:.6g}, hy={report.hy:.6g}, "
@@ -271,10 +264,11 @@ def build_parser() -> argparse.ArgumentParser:
     nominal = f"{DEFAULT_SCAN_NOMINAL},{DEFAULT_SCAN_NOMINAL}"
 
     def add_source(p):
-        p.add_argument("--delta", type=float, default=None,
-                       help="built-in family parameter (> 0)")
-        p.add_argument("--field-csv", default=None,
-                       help="coefficient table CSV with header x,y,alpha,beta")
+        source = p.add_mutually_exclusive_group(required=True)
+        source.add_argument("--delta", type=float,
+                            help="built-in family parameter (> 0)")
+        source.add_argument("--field-csv",
+                            help="coefficient table CSV with header x,y,alpha,beta")
 
     def add_output(p, func):
         p.add_argument("--json", action="store_true",
@@ -306,8 +300,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="residual check of a solution file")
     add_source(p)
-    p.add_argument("--uv-csv", default=None, help="x,y,u,v grid file")
-    p.add_argument("--w-csv", default=None, help="x,y,re,im grid file")
+    files = p.add_mutually_exclusive_group(required=True)
+    files.add_argument("--uv-csv", help="x,y,u,v grid file")
+    files.add_argument("--w-csv", help="x,y,re,im grid file")
     p.add_argument("--threshold", type=float, default=DEFAULT_VERIFY_THRESHOLD,
                    help="pass iff the relative residual < threshold")
     p.set_defaults(func=cmd_verify)

@@ -10,9 +10,10 @@ initial profile on the line x = 0.  The identification is invertible
 directions and their residual checks live here.  Analytic partials
 travel one way only: the solver's wx, wy become the partials of (u, v)
 for the analytic system residual, while (u, v) -> w carries values.
-The partials of (u, v) are never stored: ``to_real_pair`` hands the pair
-a function that derives one row block of them from w's Im(w), wx and wy,
-which the pair keeps alive, and the residual calls it inside its blocks.
+Both fields give partials as a function of a slice of grid rows, which
+the analytic residuals call, and shape-check, inside their blocks.  The
+partials of (u, v) are never stored: ``to_real_pair`` hands the pair a
+function deriving one row block of them from w's Im(w), wx and wy.
 
 The solve, both identifications, both residuals and the solution fields'
 finiteness check work through their grids by cache-sized row blocks, on
@@ -126,8 +127,9 @@ class LambdaPower(InitialData):
     k: int
 
     def __post_init__(self):
-        if self.k < 0 or self.k != int(self.k):
+        if isinstance(self.k, bool) or self.k < 0 or not float(self.k).is_integer():
             raise ValueError(f"power must be a nonnegative integer, got {self.k}")
+        object.__setattr__(self, "k", int(self.k))  # lpow:2, never lpow:2.0
 
     def value_and_derivative(self, z, delta):
         lam = np.asarray(z, dtype=complex) + 1j * delta
@@ -203,16 +205,12 @@ class _GridField:
     xs: np.ndarray
     ys: np.ndarray
 
-    def _check_shapes(self, grids, count=None):
-        """Reject grids (``count`` of them, when given) that are not of the
-        node shape (ny, nx)."""
+    def _check_shapes(self, grids):
+        """Reject grids that are not of the node shape (ny, nx)."""
         shape = (self.ys.size, self.xs.size)
-        shapes = [np.shape(g) for g in grids]
-        if (count is not None and len(shapes) != count) or any(
-                s != shape for s in shapes):
-            want = "/".join([str(shape)] * (count or 1))
-            got = "/".join(str(s) for s in shapes)
-            raise ValueError(f"grid shapes {got} do not match {want}")
+        if any(np.shape(g) != shape for g in grids):
+            got = "/".join(str(np.shape(g)) for g in grids)
+            raise ValueError(f"grid shapes {got} do not match {shape}")
 
     def _check_grids(self, **grids):
         self._check_shapes(grids.values())
@@ -230,8 +228,9 @@ class _GridField:
 
 @dataclass
 class ComplexField(_GridField):
-    """Complex scalar w sampled on a grid, optionally with analytic partial
-    grids and descriptive metadata."""
+    """Complex scalar w sampled on a grid, optionally with both analytic
+    partial grids wx, wy (shapes checked, values not: a NaN partial
+    reaches the residual maxima) and descriptive metadata."""
 
     values: np.ndarray             # shape (ny, nx)
     wx: np.ndarray | None = None   # analytic d/dx grid, same shape
@@ -240,13 +239,16 @@ class ComplexField(_GridField):
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
-        # shape only: a NaN partial reaches the residual maxima
         self._check_shapes([g for g in (self.wx, self.wy) if g is not None])
+        if (self.wx is None) != (self.wy is None):
+            raise ValueError("give both partial grids wx and wy, or neither")
         self._check_grids(w=self.values)
 
     @property
-    def has_partials(self) -> bool:
-        return self.wx is not None and self.wy is not None
+    def partials(self) -> Callable[[slice], tuple] | None:
+        """The function of a row slice ``s`` giving (wx[s], wy[s]), or None."""
+        return None if self.wx is None else lambda s, wx=self.wx, wy=self.wy: (
+            wx[s], wy[s])
 
 
 @dataclass
@@ -257,30 +259,17 @@ class RealPairField(_GridField):
     ``partials`` maps a slice of grid rows (a block, as from
     fields.row_blocks) to those rows of (ux, uy, vx, vy); the analytic
     system residual calls it once per block, so no whole partial grid need
-    exist.  The pair ``to_real_pair`` returns derives them from w's Im(w),
-    wx and wy, which it keeps alive and reads at residual time.  Four
-    (ny, nx) grids may be given instead; their shapes are checked (not
-    their values) and they are wrapped once as such a function.
+    exist, and checks the shapes of the rows it returns.  The pair
+    ``to_real_pair`` returns derives them from w's Im(w), wx and wy, which
+    it keeps alive and reads at residual time.
     """
 
     u: np.ndarray
     v: np.ndarray
-    partials: Callable[[slice], tuple] | tuple | None = None
+    partials: Callable[[slice], tuple] | None = None
 
     def __post_init__(self):
-        if self.partials is not None and not callable(self.partials):
-            try:
-                grids = tuple(self.partials)
-            except TypeError:  # a scalar is one grid of shape ()
-                grids = (self.partials,)
-            self._check_shapes(grids, count=4)
-            self.partials = partial(_rows_of, grids)
         self._check_grids(u=self.u, v=self.v)
-
-
-def _rows_of(grids, s):
-    """Rows ``s`` of each of the grids."""
-    return tuple(g[s] for g in grids)
 
 
 def solve_characteristic(
@@ -365,22 +354,23 @@ def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
     inv = 1.0 / (1.0 + xs[None, :])
     b = fam.delta * inv
     map_row_blocks(xs.size, ys.size, block)
-    partials = (partial(_pair_partial_rows, fam.delta, xs, ys, w.values.imag,
-                        w.wx, w.wy) if w.has_partials else None)
-    return RealPairField(xs, ys, u, v, partials=partials)
+    rows = w.partials
+    return RealPairField(xs, ys, u, v, partials=None if rows is None else partial(
+        _pair_partial_rows, fam.delta, xs, ys, w.values.imag, rows))
 
 
-def _pair_partial_rows(delta, xs, ys, q, wx, wy, s):
+def _pair_partial_rows(delta, xs, ys, q, w_partials, s):
     """Rows ``s`` of the partials (ux, uy, vx, vy) of the pair to_real_pair
-    forms from w, given q = Im(w) and w's partial grids wx, wy."""
+    forms from w, given q = Im(w) and w's partials function."""
     one_x = 1.0 + xs[None, :]
     inv = 1.0 / one_x
     ratio = ys[s, None] * inv  # a
     ratio /= delta * inv  # a/b, as in to_real_pair
     inv_delta = 1.0 / delta  # overflows at a subnormal delta
     q = q[s]
-    px, qx = wx.real[s], wx.imag[s]
-    py, qy = wy.real[s], wy.imag[s]
+    wx, wy = w_partials(s)
+    px, qx = wx.real, wx.imag
+    py, qy = wy.real, wy.imag
     # d(a/b)/dx = 0 and d(a/b)/dy = 1/delta; 1/b = (1+x)/delta:
     # ux = px - ratio*qx, uy = (py - q*inv_delta) - ratio*qy,
     # vx = (q + (1+x)*qx)*inv_delta, vy = ((1+x)*qy)*inv_delta
@@ -443,16 +433,24 @@ def _relative(max_res: float, sizes) -> float:
 def _residual_partials(mode, xs, ys, grids, partials):
     """Axes and steps a residual is formed on, and a function giving the
     partial grids on one block of its rows (a slice, as from
-    fields.row_blocks): in analytic mode the given ``partials`` function
-    of a slice; in fd mode d/dx and d/dy of each of ``grids`` by central
-    differences, on the interior axes (a one-node rim excluded)."""
+    fields.row_blocks): in analytic mode the given ``partials`` function,
+    shape-checked on each block; in fd mode d/dx and d/dy of each of
+    ``grids`` by central differences, on the interior axes (rim excluded)."""
     if mode == "analytic":
         if partials is None:
             raise ValueError("analytic mode needs a field carrying partial grids")
         if xs.size == 0 or ys.size == 0:
             raise ValueError(f"grid {(ys.size, xs.size)} has no node to "
                              "take a residual at")
-        return xs, ys, None, None, partials
+
+        def checked(s):
+            rows = partials(s)
+            got = "/".join(str(np.shape(r)) for r in rows)
+            want = "/".join([str((ys[s].size, xs.size))] * (2 * len(grids)))
+            if got != want:
+                raise ValueError(f"partial rows {got} do not match {want}")
+            return rows
+        return xs, ys, None, None, checked
     if mode != "fd":
         raise ValueError(f"mode must be 'fd' or 'analytic', got {mode!r}")
     if ys.size <= 2 or xs.size <= 2:
@@ -555,8 +553,7 @@ def transport_residual(
     FAIL but never the reverse.
     """
     xs, ys, hx, hy, partials_of = _residual_partials(
-        mode, w.xs, w.ys, [w.values],
-        partial(_rows_of, (w.wx, w.wy)) if w.has_partials else None)
+        mode, w.xs, w.ys, [w.values], w.partials)
     r1 = np.empty((ys.size, xs.size), dtype=complex)
     fd = mode == "fd"
 

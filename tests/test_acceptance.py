@@ -133,8 +133,8 @@ def test_criterion_4_exact_solutions():
     xs, ys = grid_axes(K, GridSpec(257, 257))
     cs = DeltaField(fam).sample(*np.meshgrid(xs, ys))
     pair = RealPairField(xs, ys, -cs.alpha, -cs.beta,
-                         partials=(-cs.alpha_x, -cs.alpha_y,
-                                   -cs.beta_x, -cs.beta_y))
+                         partials=lambda s: (-cs.alpha_x[s], -cs.alpha_y[s],
+                                             -cs.beta_x[s], -cs.beta_y[s]))
     ok &= system_residual(DeltaField(fam), pair, mode="analytic").max_residual < 1e-12
     # exponential of the spectral parameter solves the transport equation
     w_exp = solve_characteristic(fam, ExpAffine(1.0, 1j * fam.delta), K,

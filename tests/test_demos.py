@@ -1,4 +1,5 @@
-"""Each demo script runs to completion: its own checks pass and it exits 0."""
+"""Each demo script runs to completion, warning-free: its own checks pass
+and it exits 0."""
 
 import os
 import subprocess
@@ -20,6 +21,8 @@ def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
-    proc = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
+    # -W error: a numpy warning escaping into a demo fails it, as in the suite
+    proc = subprocess.run([sys.executable, "-W", "error", str(demo)],
+                          cwd=tmp_path, env=env,
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]

@@ -159,6 +159,21 @@ def test_f0_descriptor_roundtrip():
     assert format_complex(1 - 0.5j) == "1.0-0.5i"
 
 
+def test_lambda_power_keeps_an_integer_power():
+    # a float power would record lpow:2.0, which parse_f0 rejects, and
+    # solve to other bits than the integer power
+    f = LambdaPower(2.0)
+    assert type(f.k) is int and f == LambdaPower(2)
+    assert parse_f0(f.descriptor()) == f
+    fam, grid = DeltaFamily(0.5), GridSpec(9, 7)
+    assert np.array_equal(solve_characteristic(fam, f, K, grid).values,
+                          solve_characteristic(fam, LambdaPower(2), K, grid).values)
+    for bad in (True, 2.5, -1, np.inf, np.nan):
+        with pytest.raises(ValueError, match=f"^power must be a nonnegative "
+                                             f"integer, got {bad}$"):
+            LambdaPower(bad)
+
+
 # --- characteristic solve -----------------------------------------------------
 
 def test_solve_exp_affine_gives_exp_lambda():
@@ -303,14 +318,19 @@ def test_non_finite_grids_name_the_grid_and_first_node():
 
 # --- residuals ----------------------------------------------------------------
 
+def rows_of(*grids):
+    """The row function (see RealPairField.partials) of whole grids."""
+    return lambda s: tuple(g[s] for g in grids)
+
+
 def coefficient_pair(fam, grid):
     """The explicit solution pair (u, v) = (-alpha, -beta) with closed-form
-    partial grids."""
+    partials."""
     xs, ys = grid_axes(K, grid)
     cs = DeltaField(fam).sample(*np.meshgrid(xs, ys))
     return RealPairField(xs, ys, -cs.alpha, -cs.beta,
-                         partials=(-cs.alpha_x, -cs.alpha_y,
-                                   -cs.beta_x, -cs.beta_y))
+                         partials=rows_of(-cs.alpha_x, -cs.alpha_y,
+                                          -cs.beta_x, -cs.beta_y))
 
 
 def test_solution_grids_must_match_the_axes():
@@ -335,22 +355,58 @@ def test_partial_grids_must_match_the_axes():
     with pytest.raises(ValueError,
                        match=r"^grid shapes \(1, 5\) do not match \(4, 5\)$"):
         ComplexField(xs, ys, w.values, wx=w.wx[:1])
+    # the pair's row function is checked on each block the residual reads
     four = r"\(4, 5\)/\(4, 5\)/\(4, 5\)/\(4, 5\)"
-    for partials, got in [((grid, row, grid, grid), r"\(4, 5\)/\(1, 5\)/\(4, 5\)/\(4, 5\)"),
-                          ((grid,) * 3, r"\(4, 5\)/\(4, 5\)/\(4, 5\)"),
-                          ((grid,) * 5, four + r"/\(4, 5\)"),
-                          (0.0, r"\(\)")]:
-        with pytest.raises(ValueError, match=rf"^grid shapes {got} do not match {four}$"):
-            RealPairField(xs, ys, grid, grid, partials=partials)
+    for grids, got in [((grid, row, grid, grid), r"\(4, 5\)/\(1, 5\)/\(4, 5\)/\(4, 5\)"),
+                       ((grid,) * 3, r"\(4, 5\)/\(4, 5\)/\(4, 5\)"),
+                       ((grid,) * 5, four + r"/\(4, 5\)"),
+                       ((0.0,) * 4, r"\(\)/\(\)/\(\)/\(\)")]:
+        pair = RealPairField(xs, ys, grid, grid, partials=lambda s, g=grids: g)
+        with pytest.raises(ValueError, match=rf"^partial rows {got} do not match {four}$"):
+            system_residual(DeltaField(fam), pair, mode="analytic")
     # NaN partials build, and reach the maxima
     nan = np.full((4, 5), np.nan)
-    pair = RealPairField(xs, ys, grid, grid, partials=[grid, grid, grid, nan])
+    pair = RealPairField(xs, ys, grid, grid, partials=rows_of(grid, grid, grid, nan))
     rep = system_residual(DeltaField(fam), pair, mode="analytic")
     assert np.isnan(rep.max_r1) and np.isnan(rep.max_r2)
     rep = transport_residual(DeltaField(fam),
                              ComplexField(xs, ys, w.values, wx=w.wx, wy=nan + 0j),
                              mode="analytic")
     assert np.isnan(rep.max_r1)
+
+
+def test_analytic_residual_checks_every_block_of_rows(monkeypatch):
+    # unchecked, a row function giving one row or one column per block is
+    # broadcast over the block (an exact pair reads O(1) residuals), and
+    # one giving three arrays fails to unpack
+    fam = DeltaFamily(1.0)
+    uv = to_real_pair(fam, solve_characteristic(fam, LambdaPower(2), K,
+                                                GridSpec(17, 13)))
+    monkeypatch.setattr(fields, "SCAN_CHUNK_NODES", 5 * 17)  # 5, 5 and 3 rows
+    assert system_residual(DeltaField(fam), uv, mode="analytic").max_residual < 1e-13
+    for rows, got in [(lambda s: [r[:1] for r in uv.partials(s)], r"\(1, 17\)/" * 3 + r"\(1, 17\)"),
+                      (lambda s: [r[:, :1] for r in uv.partials(s)], r"\(5, 1\)/" * 3 + r"\(5, 1\)"),
+                      (lambda s: uv.partials(s)[:3], r"\(5, 17\)/\(5, 17\)/\(5, 17\)")]:
+        pair = RealPairField(uv.xs, uv.ys, uv.u, uv.v, partials=rows)
+        with pytest.raises(ValueError, match=rf"^partial rows {got} do not match "
+                                             r"\(5, 17\)/\(5, 17\)/\(5, 17\)/\(5, 17\)$"):
+            system_residual(DeltaField(fam), pair, mode="analytic")
+    # the last block's rows are checked too: whole grids fit no block
+    pair = RealPairField(uv.xs, uv.ys, uv.u, uv.v, partials=lambda s: partial_grids(uv))
+    with pytest.raises(ValueError, match=r"^partial rows \(13, 17\)/"):
+        system_residual(DeltaField(fam), pair, mode="analytic")
+
+
+def test_complex_field_partials_come_in_pairs():
+    # a lone wx was dropped, and to_real_pair gave a pair with no partials
+    w = solve_characteristic(DeltaFamily(0.5), LambdaPower(2), K, GridSpec(5, 4))
+    for lone in ({"wx": w.wx}, {"wy": w.wy}):
+        with pytest.raises(ValueError,
+                           match="^give both partial grids wx and wy, or neither$"):
+            ComplexField(w.xs, w.ys, w.values, **lone)
+    assert ComplexField(w.xs, w.ys, w.values).partials is None
+    wx, wy = w.partials(slice(1, 3))
+    assert np.array_equal(wx, w.wx[1:3]) and np.array_equal(wy, w.wy[1:3])
 
 
 def test_residuals_reject_what_they_cannot_difference():
@@ -584,10 +640,10 @@ def ref_to_real_pair(fam, w):
     px, qx = w.wx.real, w.wx.imag
     py, qy = w.wy.real, w.wy.imag
     inv_delta = 1.0 / fam.delta
-    partials = (px - ratio * qx,
-                py - q * inv_delta - ratio * qy,
-                (q + (1.0 + X) * qx) * inv_delta,
-                (1.0 + X) * qy * inv_delta)
+    partials = rows_of(px - ratio * qx,
+                       py - q * inv_delta - ratio * qy,
+                       (q + (1.0 + X) * qx) * inv_delta,
+                       (1.0 + X) * qy * inv_delta)
     return RealPairField(w.xs, w.ys, p - ratio * q, q / b, partials=partials)
 
 
