@@ -166,7 +166,6 @@ def cmd_solve(args) -> int:
     region = _parse_region(args.region)
     grid = _parse_grid(args.grid)
     w = solve_characteristic(fam, f0, region, grid)
-    w.wx = w.wy = None  # no file holds partials: release them
     uv = to_real_pair(fam, w)
     base = args.out
     write_complex_csv(w, f"{base}_w.csv")

@@ -8,12 +8,14 @@ by w = f0(zeta) with zeta the characteristic coordinate and f0 the
 initial profile on the line x = 0.  The identification is invertible
 (u = Re(w) - (a/b)*Im(w), v = Im(w)/b with lambda = a + i*b), so both
 directions and their residual checks live here.  Analytic partials
-travel one way only: the solver's wx, wy become the partials of (u, v)
+travel one way only: the solution's wx, wy become the partials of (u, v)
 for the analytic system residual, while (u, v) -> w carries values.
 Both fields give partials as a function of a slice of grid rows, which
-the analytic residuals call, and shape-check, inside their blocks.  The
-partials of (u, v) are never stored: ``to_real_pair`` hands the pair a
-function deriving one row block of them from w's Im(w), wx and wy.
+the analytic residuals call, and shape-check, inside their blocks.  No
+kernel stores a partial grid: the solver forms w alone and hands its
+field a function deriving one row block of (wx, wy) from f0 and w, and
+``to_real_pair`` hands the pair one deriving the rows of (ux, uy, vx, vy)
+from Im(w) and those rows of (wx, wy).
 
 The solve, both identifications, both residuals and the solution fields'
 finiteness check work through their grids by cache-sized row blocks, on
@@ -71,8 +73,12 @@ def characteristic_coordinate(fam: DeltaFamily, p):
 class InitialData:
     """An entire initial profile f0 for the transport problem."""
 
-    def value_and_derivative(self, z, delta: float):
-        """(f0(z), f0'(z)) on an array of points z."""
+    def value(self, z, delta: float):
+        """f0(z) on an array of points z."""
+        raise NotImplementedError
+
+    def derivative(self, z, value, delta: float):
+        """f0'(z) on an array of points z, where f0(z) is ``value``."""
         raise NotImplementedError
 
     def descriptor(self) -> str:
@@ -92,13 +98,16 @@ class Polynomial(InitialData):
             self, "coefficients", tuple(complex(c) for c in self.coefficients)
         )
 
-    def value_and_derivative(self, z, delta):
+    def value(self, z, delta):
         z = np.asarray(z, dtype=complex)
-        value = np.polynomial.polynomial.polyval(z, self.coefficients)
+        return np.polynomial.polynomial.polyval(z, self.coefficients)
+
+    def derivative(self, z, value, delta):
+        z = np.asarray(z, dtype=complex)
         if len(self.coefficients) == 1:
-            return value, np.zeros_like(z)
+            return np.zeros_like(z)
         der = np.polynomial.polynomial.polyder(self.coefficients)
-        return value, np.polynomial.polynomial.polyval(z, der)
+        return np.polynomial.polynomial.polyval(z, der)
 
     def descriptor(self):
         return "poly:" + ",".join(format_complex(c) for c in self.coefficients)
@@ -106,14 +115,16 @@ class Polynomial(InitialData):
 
 @dataclass(frozen=True)
 class ExpAffine(InitialData):
-    """f0(z) = exp(c*z + d)."""
+    """f0(z) = exp(c*z + d), whose derivative c*f0(z) takes no second exp."""
 
     c: complex
     d: complex = 0j
 
-    def value_and_derivative(self, z, delta):
-        w = np.exp(self.c * np.asarray(z, dtype=complex) + self.d)
-        return w, self.c * w
+    def value(self, z, delta):
+        return np.exp(self.c * np.asarray(z, dtype=complex) + self.d)
+
+    def derivative(self, z, value, delta):
+        return self.c * value
 
     def descriptor(self):
         return f"exp:{format_complex(self.c)},{format_complex(self.d)}"
@@ -131,10 +142,12 @@ class LambdaPower(InitialData):
             raise ValueError(f"power must be a nonnegative integer, got {self.k}")
         object.__setattr__(self, "k", int(self.k))  # lpow:2, never lpow:2.0
 
-    def value_and_derivative(self, z, delta):
+    def value(self, z, delta):
+        return (np.asarray(z, dtype=complex) + 1j * delta) ** self.k
+
+    def derivative(self, z, value, delta):
         lam = np.asarray(z, dtype=complex) + 1j * delta
-        der = self.k * lam ** (self.k - 1) if self.k else np.zeros_like(lam)
-        return lam ** self.k, der
+        return self.k * lam ** (self.k - 1) if self.k else np.zeros_like(lam)
 
     def descriptor(self):
         return f"lpow:{self.k}"
@@ -228,27 +241,35 @@ class _GridField:
 
 @dataclass
 class ComplexField(_GridField):
-    """Complex scalar w sampled on a grid, optionally with both analytic
-    partial grids wx, wy (shapes checked, values not: a NaN partial
-    reaches the residual maxima) and descriptive metadata."""
+    """Complex scalar w sampled on a grid, optionally with its analytic
+    partials and descriptive metadata.
+
+    ``partials`` maps a slice of grid rows to those rows of (wx, wy), as
+    RealPairField.partials does for (u, v); the analytic transport
+    residual and the pair ``to_real_pair`` forms call it once per block.
+    Whole partial grids given as ``wx`` and ``wy`` instead (shapes
+    checked, values not: a NaN partial reaches the residual maxima)
+    become that function.  A solver result holds no partial grid: its
+    ``partials`` derives the rows from f0 and w (_solution_partial_rows).
+    """
 
     values: np.ndarray             # shape (ny, nx)
     wx: np.ndarray | None = None   # analytic d/dx grid, same shape
     wy: np.ndarray | None = None
     meta: dict = dc_field(default_factory=dict)
+    partials: Callable[[slice], tuple] | None = None
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=complex)
         self._check_shapes([g for g in (self.wx, self.wy) if g is not None])
         if (self.wx is None) != (self.wy is None):
             raise ValueError("give both partial grids wx and wy, or neither")
+        if self.wx is not None:
+            if self.partials is not None:
+                raise ValueError("give partial grids or a partials function, "
+                                 "not both")
+            self.partials = lambda s, wx=self.wx, wy=self.wy: (wx[s], wy[s])
         self._check_grids(w=self.values)
-
-    @property
-    def partials(self) -> Callable[[slice], tuple] | None:
-        """The function of a row slice ``s`` giving (wx[s], wy[s]), or None."""
-        return None if self.wx is None else lambda s, wx=self.wx, wy=self.wy: (
-            wx[s], wy[s])
 
 
 @dataclass
@@ -260,8 +281,8 @@ class RealPairField(_GridField):
     fields.row_blocks) to those rows of (ux, uy, vx, vy); the analytic
     system residual calls it once per block, so no whole partial grid need
     exist, and checks the shapes of the rows it returns.  The pair
-    ``to_real_pair`` returns derives them from w's Im(w), wx and wy, which
-    it keeps alive and reads at residual time.
+    ``to_real_pair`` returns derives them from w's Im(w) and the rows of
+    (wx, wy) that w's ``partials`` gives at residual time.
     """
 
     u: np.ndarray
@@ -284,25 +305,17 @@ def solve_characteristic(
     The initial profiles in the catalog are entire, so the formula is
     evaluated on the full requested rectangle; that choice is recorded in
     the field metadata.  The arithmetic per node does not depend on delta.
-    Each block of rows (see fields.row_blocks) takes one f0 evaluation.
+    Only w is formed: one f0 evaluation per block of rows (see
+    fields.row_blocks).  The field's ``partials`` derives rows of
+    (wx, wy) when a residual asks (_solution_partial_rows).
     """
     xs, ys = grid_axes(region, grid)
     x = xs[None, :]
-    w, wx, wy = (np.empty((ys.size, xs.size), dtype=complex) for _ in range(3))
+    w = np.empty((ys.size, xs.size), dtype=complex)
 
     def block(s):
-        y = ys[s, None]
-        w[s], df = f0.value_and_derivative(
-            characteristic_coordinate(fam, (x, y)), fam.delta)
-        df = np.asarray(df, dtype=complex)
-        # zeta_x = -lambda/(1+x), zeta_y = 1/(1+x): wx = df*(-(lambda*inv)),
-        # wy = df*inv; complex a*b and b*a can round apart, so keep the order
-        lam = DeltaField(fam).spectral(x, y)
-        lam *= inv
-        np.negative(lam, out=lam)
-        np.multiply(df, lam, out=wx[s])
-        np.multiply(df, inv, out=wy[s])
-    inv = 1.0 / (1.0 + x)
+        w[s] = f0.value(characteristic_coordinate(fam, (x, ys[s, None])),
+                        fam.delta)
     map_row_blocks(xs.size, ys.size, block)
     meta = {
         "delta": fam.delta,
@@ -310,7 +323,26 @@ def solve_characteristic(
         "initial_line": "x=0",
         "evaluation": "full-rectangle (entire initial data)",
     }
-    return ComplexField(xs, ys, w, wx=wx, wy=wy, meta=meta)
+    return ComplexField(xs, ys, w, meta=meta, partials=partial(
+        _solution_partial_rows, fam, f0, xs, ys, w))
+
+
+def _solution_partial_rows(fam, f0, xs, ys, values, s):
+    """Rows ``s`` of the partials (wx, wy) of the solution w = f0(zeta)
+    solve_characteristic forms, given its values; it allocates every
+    array it writes, so pool threads may call it at once."""
+    x, y = xs[None, :], ys[s, None]
+    df = np.asarray(f0.derivative(characteristic_coordinate(fam, (x, y)),
+                                  values[s], fam.delta), dtype=complex)
+    # zeta_x = -lambda/(1+x), zeta_y = 1/(1+x): wx = df*(-(lambda*inv)),
+    # wy = df*inv; complex a*b and b*a can round apart, so keep the order
+    inv = 1.0 / (1.0 + x)
+    lam = DeltaField(fam).spectral(x, y)
+    lam *= inv
+    np.negative(lam, out=lam)
+    wx = np.multiply(df, lam)
+    del lam
+    return wx, np.multiply(df, inv)
 
 
 def from_real_pair(fam: DeltaFamily, uv: RealPairField) -> ComplexField:
@@ -334,8 +366,8 @@ def from_real_pair(fam: DeltaFamily, uv: RealPairField) -> ComplexField:
 def to_real_pair(fam: DeltaFamily, w: ComplexField) -> RealPairField:
     """Inverse identification u = Re(w) - (a/b)*Im(w), v = Im(w)/b, by row
     blocks.  When w has partials, the pair's ``partials`` derives the rows
-    of (ux, uy, vx, vy) from Im(w), wx and wy when asked (see
-    _pair_partial_rows); no partial grid is formed here.
+    of (ux, uy, vx, vy) from Im(w) and w's rows of (wx, wy) when asked
+    (see _pair_partial_rows); no partial grid is formed here.
 
     Requires delta > 0 (enforced at DeltaFamily construction) so that
     b = delta/(1+x) never vanishes.
@@ -369,20 +401,22 @@ def _pair_partial_rows(delta, xs, ys, q, w_partials, s):
     inv_delta = 1.0 / delta  # overflows at a subnormal delta
     q = q[s]
     wx, wy = w_partials(s)
-    px, qx = wx.real, wx.imag
-    py, qy = wy.real, wy.imag
     # d(a/b)/dx = 0 and d(a/b)/dy = 1/delta; 1/b = (1+x)/delta:
-    # ux = px - ratio*qx, uy = (py - q*inv_delta) - ratio*qy,
-    # vx = (q + (1+x)*qx)*inv_delta, vy = ((1+x)*qy)*inv_delta
+    # ux = px - ratio*qx, vx = (q + (1+x)*qx)*inv_delta,
+    # uy = (py - q*inv_delta) - ratio*qy, vy = ((1+x)*qy)*inv_delta;
+    # ux and vx first, so the wx rows are freed before uy and vy are formed
+    px, qx = wx.real, wx.imag
     ux = ratio * qx
     np.subtract(px, ux, out=ux)
+    vx = one_x * qx
+    vx += q
+    vx *= inv_delta
+    del wx, px, qx
+    py, qy = wy.real, wy.imag
     uy = q * inv_delta
     np.subtract(py, uy, out=uy)
     ratio *= qy
     uy -= ratio
-    vx = one_x * qx
-    vx += q
-    vx *= inv_delta
     vy = one_x * qy
     vy *= inv_delta
     return ux, uy, vx, vy

@@ -3,12 +3,13 @@ import dataclasses
 import hashlib
 import json
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from rigidpde import analysis, bench as bench_mod, cli, fields
+from rigidpde import analysis, bench as bench_mod, fields, transport
 from rigidpde.cli import _VALUE_OPTS, build_parser, main
 from rigidpde.fields import (
     REFERENCE_WINDOW,
@@ -295,18 +296,48 @@ def test_solve_files_are_byte_identical_to_golden(delta, f0, tmp_path, capsys):
 
 def test_solve_identifies_values_without_partials(tmp_path, capsys,
                                                   monkeypatch):
-    # no file holds partials, so solve drops w's before identifying (u, v)
-    seen = []
-    identify = cli.to_real_pair
+    # no file holds partials: solve writes w and (u, v) without deriving
+    # one row of w's partials, which the solver leaves to a residual
+    derived = []
+    derive = transport._solution_partial_rows
 
-    def spy(fam, w):
-        seen.append(w.partials is None)
-        return identify(fam, w)
+    def spy(*args):
+        derived.append(args[-1])
+        return derive(*args)
 
-    monkeypatch.setattr(cli, "to_real_pair", spy)
+    monkeypatch.setattr(transport, "_solution_partial_rows", spy)
     code, _, _ = run(capsys, "solve", "--delta", "1", "--f0", "lpow:2",
                      "--grid", "9,9", "--out", str(tmp_path / "s"))
-    assert code == 0 and seen == [True]
+    assert code == 0 and derived == []
+    # the spy sees the rows an analytic residual asks for
+    fam = DeltaFamily(1.0)
+    w = transport.solve_characteristic(fam, transport.parse_f0("lpow:2"),
+                                       REFERENCE_WINDOW, GridSpec(9, 9))
+    transport.transport_residual(DeltaField(fam), w, mode="analytic")
+    assert derived == [slice(0, 9)]
+
+
+def test_solve_memory_is_its_outputs_plus_blocks(tmp_path, capsys,
+                                                 monkeypatch):
+    # solve holds w and (u, v) while it writes them, and forms every
+    # temporary one block at a time (on two threads here), so its peak is
+    # those grids plus eight complex blocks: one more whole complex grid
+    # (a partial grid of w, 16 bytes a node) exceeds it
+    monkeypatch.setattr(fields, "_WORKERS", 2)
+    n = 513
+    nodes = n * n
+    budget = 8 * fields.chunk_rows(n, n) * n * 16
+    argv = ["solve", "--delta", "1e-3", "--f0", "exp:0.5+0.5i", "--grid"]
+    run(capsys, *argv, "9,9", "--out", str(tmp_path / "warm"))  # first-call set-up
+    tracemalloc.start()
+    try:
+        code = main([*argv, f"{n},{n}", "--out", str(tmp_path / "s")])
+        used = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    capsys.readouterr()
+    assert code == 0
+    assert used <= 16 * nodes + 2 * 8 * nodes + budget  # w, u, v
 
 
 def test_solve_rejects_bad_f0(capsys):

@@ -98,21 +98,28 @@ def test_zeta_constant_along_characteristic_curves():
 def test_polynomial_evaluate_and_derivative():
     f = Polynomial((1.0, 2.0, 3.0j))  # 1 + 2z + 3i z^2
     z = np.array([0.5 + 0.25j, -1.0 + 0j])
-    value, der = f.value_and_derivative(z, 1.0)
+    value = f.value(z, 1.0)
     np.testing.assert_allclose(value, 1 + 2 * z + 3j * z**2)
-    np.testing.assert_allclose(der, 2 + 6j * z)
+    np.testing.assert_allclose(f.derivative(z, value, 1.0), 2 + 6j * z)
+    constant = Polynomial((1.5 - 2j,))
+    assert np.all(constant.value(z, 1.0) == 1.5 - 2j)
+    assert np.all(constant.derivative(z, constant.value(z, 1.0), 1.0) == 0)
 
 
 def test_exp_affine_and_lambda_power():
     z = np.array([0.1 - 0.2j])
     f = ExpAffine(2.0, 1j)
-    value, der = f.value_and_derivative(z, 0.5)
+    value = f.value(z, 0.5)
     np.testing.assert_allclose(value, np.exp(2 * z + 1j))
-    np.testing.assert_allclose(der, 2 * np.exp(2 * z + 1j))
-    value, der = LambdaPower(3).value_and_derivative(z, 0.5)
+    np.testing.assert_allclose(f.derivative(z, value, 0.5), 2 * np.exp(2 * z + 1j))
+    # the derivative of exp is read from the value it is given
+    assert np.array_equal(f.derivative(None, value, 0.5), 2 * value)
+    value = LambdaPower(3).value(z, 0.5)
     np.testing.assert_allclose(value, (z + 0.5j) ** 3)
-    np.testing.assert_allclose(der, 3 * (z + 0.5j) ** 2)
-    assert np.all(LambdaPower(0).value_and_derivative(z, 0.5)[1] == 0)
+    np.testing.assert_allclose(LambdaPower(3).derivative(z, value, 0.5),
+                               3 * (z + 0.5j) ** 2)
+    assert np.all(LambdaPower(0).value(z, 0.5) == 1)
+    assert np.all(LambdaPower(0).derivative(z, None, 0.5) == 0)
     with pytest.raises(ValueError):
         LambdaPower(-1)
 
@@ -206,7 +213,7 @@ def test_solve_initial_trace_is_exact():
     w = solve_characteristic(fam, f0, K, GridSpec(7, 23))
     ix = int(np.where(w.xs == 0.0)[0][0])
     np.testing.assert_array_equal(w.values[:, ix],
-                                  f0.value_and_derivative(w.ys + 0j, fam.delta)[0])
+                                  f0.value(w.ys + 0j, fam.delta))
 
 
 def test_solve_metadata_records_choices():
@@ -222,9 +229,9 @@ def test_solve_cost_is_one_evaluation_regardless_of_delta(monkeypatch):
     calls = []
 
     class Counting(LambdaPower):
-        def value_and_derivative(self, z, delta):
+        def value(self, z, delta):
             calls.append(delta)
-            return super().value_and_derivative(z, delta)
+            return super().value(z, delta)
 
     for delta in (1.0, 1e-10):
         n0 = len(calls)
@@ -242,8 +249,13 @@ def test_solve_cost_is_one_evaluation_regardless_of_delta(monkeypatch):
     monkeypatch.setattr(np, "exp", counting_exp)
     for delta in (1.0, 1e-10):
         n0 = len(exps)
-        solve_characteristic(DeltaFamily(delta), ExpAffine(0.5 + 0.5j, 0.1j), K,
-                             GridSpec(9, 7))
+        fam = DeltaFamily(delta)
+        w = solve_characteristic(fam, ExpAffine(0.5 + 0.5j, 0.1j), K,
+                                 GridSpec(9, 7))
+        assert exps[n0:] == [(7, 9)]
+        # and the analytic residuals derive w's partials from its values
+        transport_residual(DeltaField(fam), w, mode="analytic")
+        system_residual(DeltaField(fam), to_real_pair(fam, w), mode="analytic")
         assert exps[n0:] == [(7, 9)]
 
 
@@ -349,12 +361,13 @@ def test_partial_grids_must_match_the_axes():
     fam = DeltaFamily(0.5)
     w = solve_characteristic(fam, LambdaPower(2), K, GridSpec(5, 4))
     xs, ys, grid, row = w.xs, w.ys, np.zeros((4, 5)), np.zeros((1, 5))
+    wx, wy = w.partials(slice(None))
     with pytest.raises(ValueError,
                        match=r"^grid shapes \(4, 5\)/\(1, 5\) do not match \(4, 5\)$"):
-        ComplexField(xs, ys, w.values, wx=w.wx, wy=w.wy[:1])
+        ComplexField(xs, ys, w.values, wx=wx, wy=wy[:1])
     with pytest.raises(ValueError,
                        match=r"^grid shapes \(1, 5\) do not match \(4, 5\)$"):
-        ComplexField(xs, ys, w.values, wx=w.wx[:1])
+        ComplexField(xs, ys, w.values, wx=wx[:1])
     # the pair's row function is checked on each block the residual reads
     four = r"\(4, 5\)/\(4, 5\)/\(4, 5\)/\(4, 5\)"
     for grids, got in [((grid, row, grid, grid), r"\(4, 5\)/\(1, 5\)/\(4, 5\)/\(4, 5\)"),
@@ -370,7 +383,7 @@ def test_partial_grids_must_match_the_axes():
     rep = system_residual(DeltaField(fam), pair, mode="analytic")
     assert np.isnan(rep.max_r1) and np.isnan(rep.max_r2)
     rep = transport_residual(DeltaField(fam),
-                             ComplexField(xs, ys, w.values, wx=w.wx, wy=nan + 0j),
+                             ComplexField(xs, ys, w.values, wx=wx, wy=nan + 0j),
                              mode="analytic")
     assert np.isnan(rep.max_r1)
 
@@ -400,13 +413,20 @@ def test_analytic_residual_checks_every_block_of_rows(monkeypatch):
 def test_complex_field_partials_come_in_pairs():
     # a lone wx was dropped, and to_real_pair gave a pair with no partials
     w = solve_characteristic(DeltaFamily(0.5), LambdaPower(2), K, GridSpec(5, 4))
-    for lone in ({"wx": w.wx}, {"wy": w.wy}):
+    assert w.wx is None and w.wy is None  # the solver forms no partial grid
+    wx, wy = w.partials(slice(None))
+    for lone in ({"wx": wx}, {"wy": wy}):
         with pytest.raises(ValueError,
                            match="^give both partial grids wx and wy, or neither$"):
             ComplexField(w.xs, w.ys, w.values, **lone)
+    with pytest.raises(ValueError, match="^give partial grids or a partials "
+                                         "function, not both$"):
+        ComplexField(w.xs, w.ys, w.values, wx=wx, wy=wy, partials=w.partials)
     assert ComplexField(w.xs, w.ys, w.values).partials is None
-    wx, wy = w.partials(slice(1, 3))
-    assert np.array_equal(wx, w.wx[1:3]) and np.array_equal(wy, w.wy[1:3])
+    grids = ComplexField(w.xs, w.ys, w.values, wx=wx, wy=wy)
+    for field in (w, grids):
+        rx, ry = field.partials(slice(1, 3))
+        assert np.array_equal(rx, wx[1:3]) and np.array_equal(ry, wy[1:3])
 
 
 def test_residuals_reject_what_they_cannot_difference():
@@ -621,8 +641,8 @@ def ref_solve(fam, f0, region, grid):
     X, Y = np.meshgrid(xs, ys)
     inv = 1.0 / (1.0 + X)
     zeta = (Y - 1j * fam.delta * X) * inv
-    w, df = f0.value_and_derivative(zeta, fam.delta)
-    w, df = np.asarray(w, dtype=complex), np.asarray(df, dtype=complex)
+    w = np.asarray(f0.value(zeta, fam.delta), dtype=complex)
+    df = np.asarray(f0.derivative(zeta, w, fam.delta), dtype=complex)
     lam = (Y + 1j * fam.delta) * inv
     return ComplexField(xs, ys, w, wx=df * (-(lam * inv)), wy=df * inv)
 
@@ -637,8 +657,9 @@ def ref_to_real_pair(fam, w):
     X, Y, inv, a, b = ref_lambda_parts(fam, w.xs, w.ys)
     p, q = w.values.real, w.values.imag
     ratio = a / b
-    px, qx = w.wx.real, w.wx.imag
-    py, qy = w.wy.real, w.wy.imag
+    wx, wy = w.partials(slice(None))
+    px, qx = wx.real, wx.imag
+    py, qy = wy.real, wy.imag
     inv_delta = 1.0 / fam.delta
     partials = rows_of(px - ratio * qx,
                        py - q * inv_delta - ratio * qy,
@@ -652,11 +673,12 @@ def ref_from_real_pair(fam, uv):
     return ComplexField(uv.xs, uv.ys, (uv.u + a * uv.v) + 1j * (b * uv.v))
 
 
-def partial_grids(uv):
-    """Whole (ux, uy, vx, vy) grids of a pair, assembled from the rows its
-    ``partials`` gives for each block of fields.row_blocks (on the pool,
-    as the analytic residual asks for them)."""
-    blocks = fields.map_row_blocks(uv.xs.size, uv.ys.size, uv.partials)
+def partial_grids(field):
+    """Whole partial grids of a solution field ((wx, wy) of w, (ux, uy,
+    vx, vy) of a pair), assembled from the rows its ``partials`` gives for
+    each block of fields.row_blocks (on the pool, as the analytic
+    residuals ask for them)."""
+    blocks = fields.map_row_blocks(field.xs.size, field.ys.size, field.partials)
     return [np.concatenate(rows) for rows in zip(*blocks)]
 
 
@@ -697,8 +719,9 @@ def check_against_reference(fam, f0, region, grid):
     w = solve_characteristic(fam, f0, region, grid)
     w_ref = ref_solve(fam, f0, region, grid)
     assert_bits(w.values, w_ref.values)
-    assert_ulps(w.wx, w_ref.wx)
-    assert_ulps(w.wy, w_ref.wy)
+    wx, wy = w.partials(slice(None))
+    for got, want in zip((wx, wy), w_ref.partials(slice(None)), strict=True):
+        assert_ulps(got, want)
 
     uv = to_real_pair(fam, w)
     chained = ref_to_real_pair(fam, w_ref)
@@ -721,8 +744,8 @@ def check_against_reference(fam, f0, region, grid):
     assert rep.max_r1 == np.abs(r1).max() and rep.max_r2 == np.abs(r2).max()
     # the transport residual cancels; its rounding is on the scale of its terms
     res = transport_residual(DeltaField(fam), w, mode="analytic").r1
-    assert_ulps(res, w.wx + ref_lambda(fam, w.xs, w.ys) * w.wy,
-                scale=np.abs(w.wx).max())
+    assert_ulps(res, wx + ref_lambda(fam, w.xs, w.ys) * wy,
+                scale=np.abs(wx).max())
 
     if min(grid.nx, grid.ny) >= 3:
         rep = system_residual(field, uv, mode="fd")
@@ -787,6 +810,33 @@ def test_kernels_match_meshgrid_reference_property():
     check()
 
 
+def test_solution_partial_rows_are_rows_of_the_whole_property():
+    # The solver's field derives (wx, wy) rows when a residual asks: any
+    # slice of rows must read the same bits as those rows of the whole
+    # grids, and as the meshgrid reference df*(-(lam*inv)), df*inv.
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=80, deadline=None, derandomize=True)
+    @hyp.given(nx=st.integers(2, 24), ny=st.integers(2, 24),
+               log_delta=st.floats(-300.0, 0.0), f0=st.sampled_from(REF_F0),
+               data=st.data())
+    def check(nx, ny, log_delta, f0, data):
+        fam, f0, grid = DeltaFamily(10.0 ** log_delta), parse_f0(f0), GridSpec(nx, ny)
+        start = data.draw(st.integers(0, ny), label="start")
+        s = slice(start, data.draw(st.integers(start, ny), label="stop"),
+                  data.draw(st.integers(1, 3), label="step"))
+        w = solve_characteristic(fam, f0, K, grid)
+        rows = w.partials(s)
+        whole = w.partials(slice(None))
+        ref = ref_solve(fam, f0, K, grid).partials(s)
+        for got, want, exact in zip(rows, whole, ref, strict=True):
+            assert_bits(got, want[s])
+            assert_bits(got, exact)
+
+    check()
+
+
 # --- row blocks ---------------------------------------------------------------
 # The kernels work through the grid in blocks of fields.chunk_rows rows.
 # Every operation is pointwise and the maxima are exact, so no output may
@@ -809,7 +859,7 @@ def pipeline(fam, f0, region, grid):
     fd = system_residual(field, uv, mode="fd")
     tr = transport_residual(field, w, mode="analytic")
     tr_fd = transport_residual(field, w2, mode="fd")
-    grids = [w.values, w.wx, w.wy, uv.u, uv.v, *partial_grids(uv), w2.values,
+    grids = [w.values, *partial_grids(w), uv.u, uv.v, *partial_grids(uv), w2.values,
              rep.r1, rep.r2, fd.r1, fd.r2, tr.r1, tr_fd.r1]
     return grids, (rep.max_r1, rep.max_r2, fd.max_r1, fd.max_r2, fd.relative,
                    tr.max_r1, tr_fd.max_r1, tr_fd.relative)
@@ -851,7 +901,9 @@ def test_kernels_independent_of_block_size_property():
 
 def test_residual_maxima_keep_nan_across_blocks():
     fam = DeltaFamily(0.5)
-    w = solve_characteristic(fam, LambdaPower(2), K, GridSpec(7, 9))
+    solved = solve_characteristic(fam, LambdaPower(2), K, GridSpec(7, 9))
+    w = ComplexField(solved.xs, solved.ys, solved.values,
+                     *solved.partials(slice(None)))
     uv = to_real_pair(fam, w)  # its partials read w's wx, wy when asked
     qy = w.wy.imag[4, 2]
     w.wy.imag[4, 2] = np.nan  # v_y (and u_y) in row 4; finite rows follow it
@@ -1209,7 +1261,7 @@ def test_a_freed_grid_above_32_mib_is_reused(tmp_path):
 
 def ref_transport_residual(field, w, mode):
     if mode == "analytic":
-        wx, wy, xs, ys = w.wx, w.wy, w.xs, w.ys
+        (wx, wy), xs, ys = w.partials(slice(None)), w.xs, w.ys
     else:
         hx, hy = float(np.mean(np.diff(w.xs))), float(np.mean(np.diff(w.ys)))
         wx, wy = central(w.values, hx, hy)
@@ -1234,9 +1286,10 @@ def test_transport_report_matches_whole_grid_reference(delta, mode):
     grid = GridSpec(65, 65)
     for f0 in REF_F0:
         w = solve_characteristic(fam, parse_f0(f0), K, grid)
+        wx, wy = w.partials(slice(None))
         # and a non-solution, whose lambda*w_y does not cancel w_x
-        bad = ComplexField(w.xs, w.ys, np.conj(w.values), wx=np.conj(w.wx),
-                           wy=2.0 * w.wy)
+        bad = ComplexField(w.xs, w.ys, np.conj(w.values), wx=np.conj(wx),
+                           wy=2.0 * wy)
         for data in (w, bad):
             r1, max_r1, relative = ref_transport_residual(field, data, mode)
             for rows in (1, 2, 7, grid.ny):
@@ -1272,7 +1325,7 @@ def test_kernel_memory_is_outputs_plus_blocks(monkeypatch):
             tracemalloc.stop()
 
     w, used = peak(solve_characteristic, fam, f0, K, grid)
-    assert used <= 3 * 16 * nodes + budget  # w, wx, wy
+    assert used <= 16 * nodes + budget      # w: no partial grid
     uv, used = peak(to_real_pair, fam, w)
     assert used <= 2 * 8 * nodes + budget   # u, v: no partial grid
     _, used = peak(from_real_pair, fam, uv)
